@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from . import experiments as exps
-from .experiments import ExperimentConfig, write_csv, raw_records
+from .experiments import (ExperimentConfig, raw_records, raw_suites_records,
+                          write_suites_csv)
 from .finders import (EmptyCoreError, NotFoundError, find_rainbow_cycle_weakly_super,
                       rbfs_forest, rdfs_longest_path, subcritical_rainbow_tree,
                       supercritical_rainbow_tree)
@@ -64,6 +65,16 @@ def _add_generator_flags(sub, require_c=True):
     sub.add_argument("--c", type=int, default=None, help="colour count")
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed (falls back to RAINBOW_SEED, then 0)")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _echo(config: dict) -> None:
@@ -259,27 +270,13 @@ def cmd_experiment(args) -> int:
                   f"bound {chk.bound})")
             all_ok = all_ok and chk.passed
     if args.out:
-        path = args.out
-        config0, rows0, checks0 = outputs[0]
-        if len(outputs) == 1:
-            write_csv(path, config0, rows0, checks0)
-        else:
-            # one file, suites concatenated under their own headers
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                for config, rows, checks in outputs:
-                    fh.write("# " + json.dumps(config.as_dict(), sort_keys=True) + "\n")
-                fh.write("experiment,params,mean,std,reps,reference,formula\n")
-                for config, rows, checks in outputs:
-                    for row in rows:
-                        fh.write(",".join([
-                            config.name, row.params_str(),
-                            repr(float(row.mean)), repr(float(row.std)),
-                            str(row.reps), repr(float(row.reference)),
-                            row.formula.replace(",", ";")]) + "\n")
+        write_suites_csv(args.out, outputs)
         if args.raw:
-            with open(path + ".json", "w", encoding="ascii", newline="\n") as fh:
-                for config, rows, checks in outputs:
-                    fh.write(raw_records(config, rows, checks) + "\n")
+            text = (raw_records(*outputs[0]) if len(outputs) == 1
+                    else raw_suites_records(outputs))
+            with open(args.out + ".json", "w", encoding="ascii",
+                      newline="\n") as fh:
+                fh.write(text + "\n")
     return EXIT_OK if all_ok else EXIT_STRUCTURAL
 
 
@@ -324,7 +321,8 @@ def build_parser() -> _Parser:
                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     exp.add_argument("--suite", required=True,
                      help="one of " + ", ".join(_SUITES))
-    exp.add_argument("--reps", type=int, default=10, help="repetitions")
+    exp.add_argument("--reps", type=_positive_int, default=10,
+                     help="repetitions")
     exp.add_argument("--seed", type=int, default=None,
                      help="master seed (falls back to RAINBOW_SEED, then 0)")
     exp.add_argument("--out", default=None, help="output CSV path")

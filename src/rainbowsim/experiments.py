@@ -421,29 +421,36 @@ def exp_cycle(n, c, d, delta, reps, seed, threads=1):
 
 def write_csv(path, config: ExperimentConfig, rows, checks=None) -> None:
     """CSV with a JSON provenance comment header; byte-stable across reruns."""
+    write_suites_csv(path, [(config, rows, checks or ())])
+
+
+def write_suites_csv(path, suites) -> None:
+    """One CSV for several (config, rows, checks) suites: every provenance
+    header, the column line, every row, then every check."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("# " + json.dumps(config.as_dict(), sort_keys=True) + "\n")
+        for config, _, _ in suites:
+            fh.write("# " + json.dumps(config.as_dict(), sort_keys=True) + "\n")
         fh.write("experiment,params,mean,std,reps,reference,formula\n")
-        for row in rows:
-            fh.write(",".join([
-                config.name,
-                row.params_str(),
-                repr(float(row.mean)),
-                repr(float(row.std)),
-                str(row.reps),
-                repr(float(row.reference)),
-                row.formula.replace(",", ";"),
-            ]) + "\n")
-        if checks:
+        for config, rows, _ in suites:
+            for row in rows:
+                fh.write(",".join([
+                    config.name,
+                    row.params_str(),
+                    repr(float(row.mean)),
+                    repr(float(row.std)),
+                    str(row.reps),
+                    repr(float(row.reference)),
+                    row.formula.replace(",", ";"),
+                ]) + "\n")
+        for _, _, checks in suites:
             for chk in checks:
                 fh.write(f"# check {chk.name} "
                          f"{'PASS' if chk.passed else 'FAIL'} "
                          f"observed={chk.observed} bound={chk.bound}\n")
 
 
-def raw_records(config: ExperimentConfig, rows, checks) -> str:
-    """JSON mirror of a run: config, rows and envelope checks."""
-    blob = {
+def _raw_blob(config: ExperimentConfig, rows, checks) -> dict:
+    return {
         "config": config.as_dict(),
         "rows": [{
             "params": dict(r.params), "mean": r.mean, "std": r.std,
@@ -454,4 +461,15 @@ def raw_records(config: ExperimentConfig, rows, checks) -> str:
             "observed": ch.observed, "bound": ch.bound,
         } for ch in checks],
     }
-    return json.dumps(blob, sort_keys=True, indent=2)
+
+
+def raw_records(config: ExperimentConfig, rows, checks) -> str:
+    """JSON mirror of a run: config, rows and envelope checks."""
+    return json.dumps(_raw_blob(config, rows, checks), sort_keys=True, indent=2)
+
+
+def raw_suites_records(suites) -> str:
+    """One JSON document for several (config, rows, checks) suites: a list
+    of raw_records objects."""
+    return json.dumps([_raw_blob(*suite) for suite in suites],
+                      sort_keys=True, indent=2)

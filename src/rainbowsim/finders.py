@@ -174,8 +174,8 @@ def subcritical_rainbow_tree(g: ColouredGraph) -> np.ndarray:
     counts = np.bincount(cols)
     keep = t_edges[counts[cols] == 1]
     # largest surviving component among kept edges plus isolated T-vertices
-    sub = ColouredGraph(n=g.n, c=g.c, u=g.u[keep], v=g.v[keep],
-                        colour=g.colour[keep], multigraph=g.multigraph)
+    sub = ColouredGraph._trusted(g.n, g.c, g.u[keep], g.v[keep],
+                                 g.colour[keep], g.multigraph)
     sp = connected_components(sub)
     survivor_labels = sp.labels.copy()
     survivor_labels[~in_t] = -1
@@ -223,10 +223,9 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     kept_core_edges = core_edges[~dup_mask]
 
     # largest component of core minus duplicate-coloured edges
-    core_sub = ColouredGraph(n=g.n, c=g.c, u=g.u[kept_core_edges],
-                             v=g.v[kept_core_edges],
-                             colour=g.colour[kept_core_edges],
-                             multigraph=g.multigraph)
+    core_sub = ColouredGraph._trusted(g.n, g.c, g.u[kept_core_edges],
+                                      g.v[kept_core_edges],
+                                      g.colour[kept_core_edges], g.multigraph)
     cp = connected_components(core_sub)
     core_labels = cp.labels.copy()
     on_core = np.zeros(g.n, dtype=bool)
@@ -643,22 +642,32 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
 # sprinkling
 
 def _path_colours(g: ColouredGraph, path):
-    """Colour of each consecutive path edge, via sorted-adjacency lookup."""
-    indptr, nbr, eid = adjacency(g)
-    out = []
-    for a, b in zip(path[:-1], path[1:]):
-        lo, hi = indptr[a], indptr[a + 1]
-        pos = lo + np.searchsorted(nbr[lo:hi], b)
-        if pos >= hi or nbr[pos] != b:
-            raise ValueError("path step is not an edge of the graph")
-        out.append(int(g.colour[eid[pos]]))
-    return out
+    """Colour of each consecutive path edge, in one pass over the edges.
 
-
-def _has_edge(indptr, nbr, a, b) -> bool:
-    lo, hi = indptr[a], indptr[a + 1]
-    pos = lo + np.searchsorted(nbr[lo:hi], b)
-    return pos < hi and nbr[pos] == b
+    Step (a, b) takes the lowest-id edge stored as (a, b), else the
+    lowest-id edge stored as (b, a): the one a lookup in the sorted
+    adjacency of a finds first. Raises ValueError when a step is not an
+    edge or the path repeats a vertex.
+    """
+    p = np.asarray(path, dtype=np.int64)
+    if p.size < 2:
+        return []
+    at = np.arange(p.size)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[p] = at
+    if (pos[p] != at).any():
+        raise ValueError("path repeats a vertex")
+    pu, pv = pos[g.u], pos[g.v]
+    picks = []
+    for first, second in ((pu, pv), (pv, pu)):
+        ids = np.flatnonzero((first >= 0) & (second == first + 1))
+        pick = np.full(p.size - 1, g.m, dtype=np.int64)
+        np.minimum.at(pick, first[ids], ids)
+        picks.append(pick)
+    eid = np.where(picks[0] < g.m, picks[0], picks[1])
+    if (eid == g.m).any():
+        raise ValueError("path step is not an edge of the graph")
+    return g.colour[eid].tolist()
 
 
 def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
@@ -679,11 +688,18 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     first = {v: i for i, v in enumerate(path[:w])}
     last = {v: len(path) - w + i for i, v in enumerate(path[len(path) - w:])}
     used = set(_path_colours(g1, path))
-    indptr, nbr, _ = adjacency(g1)
+    # a candidate joins two window vertices, so only g1 edges inside the
+    # windows can rule one out
+    window = np.zeros(g1.n, dtype=bool)
+    window[list(first)] = True
+    window[list(last)] = True
+    inside = window[g1.u] & window[g1.v]
+    u, v = g1.u[inside], g1.v[inside]
+    in_g1 = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
     for a, b, colour in g2_edges:
         a, b, colour = int(a), int(b), int(colour)
         if ((a in first and b in last) or (a in last and b in first)):
-            if _has_edge(indptr, nbr, a, b):
+            if (min(a, b), max(a, b)) in in_g1:
                 continue
             if colour in used:
                 continue

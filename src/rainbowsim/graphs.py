@@ -28,12 +28,45 @@ def _as_index_array(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
 
+def _check_arrays(n, c, u, v, colour) -> None:
+    """Raise ValueError unless the arrays describe edges of a graph on n
+    vertices with colours valid for c."""
+    if not (len(u) == len(v) == len(colour)):
+        raise ValueError("edge arrays must have equal length")
+    if n < 0 or c < 0:
+        raise ValueError("n and c must be non-negative")
+    if len(u):
+        if u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n:
+            raise ValueError("edge endpoint out of range")
+        if c == 0:
+            if colour.any():
+                raise ValueError("uncoloured graph (c == 0) requires all colours 0")
+        elif colour.min() < 1 or colour.max() > c:
+            raise ValueError("edge colour out of range [1, c]")
+
+
+def _multi_edges(n, u, v):
+    """'loops' or 'parallel edges' when the edges are not simple, else None."""
+    if (u == v).any():
+        return "loops"
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        return "parallel edges"
+    return None
+
+
 @dataclass(frozen=True)
 class ColouredGraph:
     """Undirected graph with one colour per edge, stored as parallel arrays.
 
     Loops and parallel edges are rejected unless ``multigraph`` is set;
     only the configuration model produces multigraphs here.
+
+    The constructor validates every field: it is the trust boundary for
+    arrays from outside the package. The samplers and the subgraph
+    builders use ``_trusted`` instead, because their output is valid by
+    construction.
     """
 
     n: int
@@ -47,28 +80,26 @@ class ColouredGraph:
         object.__setattr__(self, "u", _as_index_array(self.u))
         object.__setattr__(self, "v", _as_index_array(self.v))
         object.__setattr__(self, "colour", _as_index_array(self.colour))
-        if not (len(self.u) == len(self.v) == len(self.colour)):
-            raise ValueError("edge arrays must have equal length")
-        if self.n < 0 or self.c < 0:
-            raise ValueError("n and c must be non-negative")
-        m = len(self.u)
-        if m:
-            if self.u.min() < 0 or self.v.min() < 0 or max(self.u.max(), self.v.max()) >= self.n:
-                raise ValueError("edge endpoint out of range")
-            if self.c == 0:
-                if self.colour.any():
-                    raise ValueError("uncoloured graph (c == 0) requires all colours 0")
-            else:
-                if self.colour.min() < 1 or self.colour.max() > self.c:
-                    raise ValueError("edge colour out of range [1, c]")
-            if not self.multigraph:
-                if (self.u == self.v).any():
-                    raise ValueError("loops require multigraph=True")
-                lo = np.minimum(self.u, self.v)
-                hi = np.maximum(self.u, self.v)
-                key = lo * self.n + hi
-                if len(np.unique(key)) != m:
-                    raise ValueError("parallel edges require multigraph=True")
+        _check_arrays(self.n, self.c, self.u, self.v, self.colour)
+        if not self.multigraph:
+            kind = _multi_edges(self.n, self.u, self.v)
+            if kind is not None:
+                raise ValueError(f"{kind} require multigraph=True")
+
+    @classmethod
+    def _trusted(cls, n, c, u, v, colour, multigraph=False) -> "ColouredGraph":
+        """Build without validation.
+
+        Only for graphs valid by construction: sampler output, or a subset
+        of the edges of a validated graph.
+        """
+        g = object.__new__(cls)
+        for name, value in (("n", n), ("c", c), ("u", _as_index_array(u)),
+                            ("v", _as_index_array(v)),
+                            ("colour", _as_index_array(colour)),
+                            ("multigraph", multigraph)):
+            object.__setattr__(g, name, value)
+        return g
 
     @property
     def m(self) -> int:
@@ -103,7 +134,9 @@ def adjacency(g: ColouredGraph):
     ends = np.concatenate([g.u, g.v])
     other = np.concatenate([g.v, g.u])
     eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else np.zeros(0, dtype=np.int64)
-    order = np.lexsort((other, ends))
+    # a stable sort on one key orders by (end, neighbour, then input
+    # position), the order a lexsort on (other, ends) gives
+    order = np.argsort(ends * g.n + other, kind="stable")
     nbr = other[order]
     eid = eid[order]
     counts = np.bincount(ends, minlength=g.n)
@@ -124,9 +157,6 @@ class VertexPartition:
     n: int
     labels: np.ndarray
     sizes_desc: np.ndarray
-
-    def size_of(self, comp_id: int) -> int:
-        return int(np.count_nonzero(self.labels == comp_id))
 
     def largest_id(self) -> int:
         """Id of the largest component; ties go to the smallest id."""
@@ -187,14 +217,9 @@ def two_core(g: ColouredGraph) -> ColouredGraph:
 
     The vertex set is kept; only the surviving edges are returned.
     """
-    vmask, emask = _peel_masks(g)
-    return ColouredGraph(n=g.n, c=g.c, u=g.u[emask], v=g.v[emask],
-                         colour=g.colour[emask], multigraph=g.multigraph)
-
-
-def two_core_masks(g: ColouredGraph):
-    """(vertex_mask, edge_mask) of the 2-core; handy for pipelines."""
-    return _peel_masks(g)
+    _, emask = _peel_masks(g)
+    return ColouredGraph._trusted(g.n, g.c, g.u[emask], g.v[emask],
+                                  g.colour[emask], g.multigraph)
 
 
 @dataclass(frozen=True)
@@ -228,23 +253,6 @@ class RootedForest:
         depth = forest_depths(self)
         if (depth < 0).any():
             raise ValueError("forest contains a cycle")
-
-    def roots_of(self) -> np.ndarray:
-        """Root id of every vertex."""
-        par = self.parent.tolist()
-        root = [-1] * self.m
-        for s in range(self.t):
-            root[s] = s
-        for x in range(self.t, self.m):
-            chain = []
-            y = x
-            while root[y] < 0:
-                chain.append(y)
-                y = par[y]
-            r = root[y]
-            for z in chain:
-                root[z] = r
-        return np.array(root, dtype=np.int64)
 
 
 def forest_depths(f: RootedForest) -> np.ndarray:
@@ -367,7 +375,9 @@ class CoreDecomposition:
 def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecomposition:
     """Split the induced subgraph on giant+unicyclic into 2-core and rooted forest.
 
-    Raises EmptyCoreError when the restricted 2-core has no vertices.
+    Raises EmptyCoreError when the restricted 2-core has no vertices, or
+    when none of them is in the giant (a giant tree cannot hang off the
+    cores of the unicyclic components).
     Forest orientation: parent pointers point towards the core, assigned by a
     multi-source BFS from the core vertices (smallest-id-first, neighbours
     ascending), so trees are rooted at core vertices.
@@ -383,6 +393,8 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     core_verts = np.flatnonzero(core_v_mask)
     if core_verts.size == 0:
         raise EmptyCoreError("2-core of the giant+unicyclic region is empty")
+    if not core_v_mask[giant].any():
+        raise EmptyCoreError("2-core of the giant is empty")
 
     s_edge = in_s[g.u] & in_s[g.v]
     core_edge_mask = emask & s_edge
@@ -403,9 +415,8 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     # BFS over forest edges from all core vertices at once
     fu = g.u[forest_edges]
     fv = g.v[forest_edges]
-    sub = ColouredGraph(n=g.n, c=0, u=fu, v=fv,
-                        colour=np.zeros(len(fu), dtype=np.int64),
-                        multigraph=True)
+    sub = ColouredGraph._trusted(g.n, 0, fu, fv,
+                                 np.zeros(len(fu), dtype=np.int64), True)
     indptr, nbr, eid_local = adjacency(sub)
 
     parent = np.full(m, -1, dtype=np.int64)
@@ -466,15 +477,9 @@ def read_edgelist(path) -> ColouredGraph:
     u = np.array(us, dtype=np.int64)
     v = np.array(vs, dtype=np.int64)
     col = np.array(cols, dtype=np.int64)
-    multi = False
-    if len(u):
-        if (u == v).any():
-            multi = True
-        else:
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            multi = len(np.unique(lo * n + hi)) != len(u)
-    return ColouredGraph(n=n, c=c, u=u, v=v, colour=col, multigraph=multi)
+    _check_arrays(n, c, u, v, col)
+    multi = _multi_edges(n, u, v) is not None
+    return ColouredGraph._trusted(n, c, u, v, col, multi)
 
 
 def forest_to_line(f: RootedForest) -> str:

@@ -95,12 +95,12 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
     gen = as_generator(rng)
     empty = np.zeros(0, dtype=np.int64)
     if n < 2 or p == 0.0:
-        return ColouredGraph(n=n, c=0, u=empty, v=empty, colour=empty)
+        return ColouredGraph._trusted(n, 0, empty, empty, empty)
     total = n * (n - 1) // 2
     if p == 1.0:
         k = np.arange(total, dtype=np.int64)
         u, v = _decode_pair_index(k)
-        return ColouredGraph(n=n, c=0, u=u, v=v, colour=np.zeros(total, dtype=np.int64))
+        return ColouredGraph._trusted(n, 0, u, v, np.zeros(total, dtype=np.int64))
     chunks = []
     pos = -1
     batch = max(1024, int(total * p * 1.1) + 64)
@@ -111,7 +111,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
         chunks.append(idx[idx < total])
     k = np.concatenate(chunks) if chunks else empty
     u, v = _decode_pair_index(k)
-    return ColouredGraph(n=n, c=0, u=u, v=v, colour=np.zeros(len(k), dtype=np.int64))
+    return ColouredGraph._trusted(n, 0, u, v, np.zeros(len(k), dtype=np.int64))
 
 
 def colour_uniform(g: ColouredGraph, c: int, rng=None) -> ColouredGraph:
@@ -120,8 +120,7 @@ def colour_uniform(g: ColouredGraph, c: int, rng=None) -> ColouredGraph:
         raise ValueError("need c >= 1")
     gen = as_generator(rng)
     cols = gen.integers(1, c + 1, size=g.m, dtype=np.int64)
-    return ColouredGraph(n=g.n, c=c, u=g.u, v=g.v, colour=cols,
-                         multigraph=g.multigraph)
+    return ColouredGraph._trusted(g.n, c, g.u, g.v, cols, g.multigraph)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +151,8 @@ def sample_configuration(d, rng=None) -> ColouredGraph:
         i += 2
     u = np.array(us, dtype=np.int64)
     v = np.array(vs, dtype=np.int64)
-    return ColouredGraph(n=len(degs), c=0, u=u, v=v,
-                         colour=np.zeros(len(u), dtype=np.int64), multigraph=True)
+    return ColouredGraph._trusted(len(degs), 0, u, v,
+                                  np.zeros(len(u), dtype=np.int64), True)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,20 @@ def test_experiment_invalid_suite():
     assert code == 64
 
 
+@pytest.mark.parametrize("reps, message", [
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+    ("two", "not an integer: 'two'"),
+])
+def test_experiment_rejects_bad_reps(capsys, reps, message):
+    code, _ = run_cli(["experiment", "--suite", "borel", "--reps", reps])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: argument --reps: {message}"]
+
+
 def test_experiment_borel_csv(tmp_path):
     out = tmp_path / "borel.csv"
     code, text = run_cli(["experiment", "--suite", "borel", "--reps", "20000",
@@ -207,12 +221,23 @@ def test_experiment_smoke_all(tmp_path):
     # sizes are expected and only affect the exit code
     out = tmp_path / "all.csv"
     code, text = run_cli(["experiment", "--suite", "all", "--reps", "3",
-                          "--seed", "1", "--n", "4000", "--out", str(out)])
+                          "--seed", "1", "--n", "4000", "--out", str(out),
+                          "--raw"])
     assert code in (0, 2)
     lines = out.read_text().splitlines()
-    for name in ("min-split", "bridge", "double-bridge", "borel", "phase",
-                 "giant", "cycle"):
+    names = ("min-split", "bridge", "double-bridge", "borel", "phase",
+             "giant", "cycle")
+    for name in names:
         assert any(ln.startswith(name + ",") for ln in lines)
+    # every check printed is also in the file, and the raw file is one
+    # JSON document holding every suite
+    printed = [ln for ln in text.splitlines() if ln.startswith("check ")]
+    written = [ln for ln in lines if ln.startswith("# check ")]
+    assert len(written) == len(printed) > 0
+    with open(str(out) + ".json", encoding="ascii") as fh:
+        raw = json.load(fh)
+    assert [suite["config"]["experiment"] for suite in raw] == list(names)
+    assert sum(len(suite["checks"]) for suite in raw) == len(printed)
 
 
 def test_help_lists_defaults():

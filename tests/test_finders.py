@@ -2,14 +2,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowsim.finders import (InvalidDeltaError, InvalidEpsilonError,
                                 NotFoundError, check_cycle, close_cycle_edges,
                                 find_rainbow_cycle_weakly_super, rbfs_forest,
                                 rdfs_longest_path, sprinkle_close_cycle,
                                 subcritical_rainbow_tree,
-                                supercritical_rainbow_tree)
-from rainbowsim.graphs import (ColouredGraph, EmptyCoreError,
+                                supercritical_rainbow_tree, _path_colours)
+from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
                                connected_components, is_rainbow)
 from rainbowsim.models import (RngStream, colour_uniform, sample_gnp,
                                sample_uniform_forest)
@@ -130,6 +132,24 @@ def test_supercritical_pendant_with_core_colour():
 
 def test_supercritical_empty_core_raises():
     g = ColouredGraph.from_edges(4, [(0, 1, 1), (1, 2, 2), (2, 3, 3)], c=3)
+    with pytest.raises(EmptyCoreError):
+        supercritical_rainbow_tree(g)
+
+
+def test_supercritical_tree_giant_beside_unicyclic_core_raises():
+    # the giant is a tree; only the unicyclic triangle has a 2-core
+    edges = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4),
+             (5, 6, 5), (6, 7, 6), (7, 5, 7)]
+    g = ColouredGraph.from_edges(8, edges, c=7)
+    with pytest.raises(EmptyCoreError):
+        supercritical_rainbow_tree(g)
+
+
+def test_supercritical_tree_giant_sample_raises_empty_core():
+    # n = c = 2000, eps = 0.05: this stream's giant is a tree
+    n, eps = 2000, 0.05
+    gen = RngStream(7, 3).generator()
+    g = colour_uniform(sample_gnp(n, (1.0 + eps) / n, gen), n, gen)
     with pytest.raises(EmptyCoreError):
         supercritical_rainbow_tree(g)
 
@@ -334,6 +354,57 @@ def test_sprinkle_skips_used_colours_and_existing_edges():
     edge = sprinkle_close_cycle(g1, path, [(0, 10, 5), (0, 1, 99), (1, 10, 42)],
                                 delta=1.0)
     assert edge == (1, 10, 42)
+
+
+def sorted_lookup_colours(g, path):
+    """Reference: colour of each path step by binary search in the CSR."""
+    indptr, nbr, eid = adjacency(g)
+    out = []
+    for a, b in zip(path[:-1], path[1:]):
+        lo, hi = indptr[a], indptr[a + 1]
+        pos = lo + np.searchsorted(nbr[lo:hi], b)
+        assert pos < hi and nbr[pos] == b
+        out.append(int(g.colour[eid[pos]]))
+    return out
+
+
+def test_path_colours_parallel_edge_tie_rule():
+    # lowest id stored in the step's direction, else lowest id stored reversed
+    edges = [(1, 0, 1), (0, 1, 2), (0, 1, 3), (2, 1, 4), (1, 2, 5),
+             (3, 2, 6), (3, 2, 7)]
+    g = ColouredGraph.from_edges(4, edges, c=7, multigraph=True)
+    assert _path_colours(g, [0, 1, 2, 3]) == [2, 5, 6]
+    assert _path_colours(g, [3, 2, 1, 0]) == [6, 4, 1]
+    for path in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0], [2, 3]):
+        assert _path_colours(g, path) == sorted_lookup_colours(g, path)
+    assert _path_colours(g, [2]) == []
+    with pytest.raises(ValueError, match="not an edge"):
+        _path_colours(g, [0, 2])
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        _path_colours(g, [0, 1, 0])
+
+
+@st.composite
+def multigraphs_with_paths(draw):
+    n = draw(st.integers(2, 10))
+    path = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    flips = draw(st.lists(st.booleans(), min_size=len(path) - 1,
+                          max_size=len(path) - 1))
+    steps = [(b, a) if f else (a, b)
+             for (a, b), f in zip(zip(path[:-1], path[1:]), flips)]
+    edges = draw(st.permutations(extra + steps))
+    triples = [(a, b, i + 1) for i, (a, b) in enumerate(edges)]
+    g = ColouredGraph.from_edges(n, triples, c=len(triples), multigraph=True)
+    return g, list(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs_with_paths())
+def test_path_colours_matches_sorted_lookup(case):
+    g, path = case
+    assert _path_colours(g, path) == sorted_lookup_colours(g, path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
-                               EmptyCoreError, RootedForest, bridge_number,
-                               connected_components, core_forest_decomposition,
-                               forest_from_line, forest_to_line, is_rainbow,
-                               read_edgelist, subtree_sizes, two_core,
-                               write_edgelist)
-from rainbowsim.models import RngStream, colour_uniform, sample_gnp, \
-    sample_uniform_forest, survival_probability
+                               EmptyCoreError, RootedForest, adjacency,
+                               bridge_number, connected_components,
+                               core_forest_decomposition, forest_from_line,
+                               forest_to_line, is_rainbow, read_edgelist,
+                               subtree_sizes, two_core, write_edgelist)
+from rainbowsim.models import RngStream, colour_uniform, sample_configuration, \
+    sample_gnp, sample_uniform_forest, survival_probability
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,114 @@ def test_uncoloured_graph_requires_zero_colours():
     ColouredGraph.from_edges(2, [(0, 1, 0)], c=0)
     with pytest.raises(ValueError):
         ColouredGraph.from_edges(2, [(0, 1, 1)], c=0)
+
+
+@pytest.mark.parametrize("u, v, colour, message", [
+    ([0, 3], [1, 1], [1, 1], "endpoint out of range"),
+    ([0, -1], [1, 2], [1, 1], "endpoint out of range"),
+    ([0, 1], [1, 2], [1, 4], "colour out of range"),
+    ([0, 1], [1, 2], [0, 1], "colour out of range"),
+    ([0, 1], [1, 1], [1, 2], "loops require multigraph=True"),
+    ([0, 1, 2, 0], [1, 2, 0, 1], [1, 2, 3, 1], "parallel edges require"),
+    ([2, 1, 0, 1], [0, 2, 1, 0], [1, 2, 3, 1], "parallel edges require"),
+])
+def test_public_constructor_rejects_bad_edges(u, v, colour, message):
+    with pytest.raises(ValueError, match=message):
+        ColouredGraph(n=3, c=3, u=np.array(u), v=np.array(v),
+                      colour=np.array(colour))
+    with pytest.raises(ValueError, match=message):
+        ColouredGraph.from_edges(3, list(zip(u, v, colour)), c=3)
+
+
+def _write_raw_edgelist(path, n, c, edges):
+    path.write_text(f"{n} {c}\n" + "".join(f"{a} {b} {col}\n"
+                                          for a, b, col in edges))
+    return path
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 1), (1, 3, 1)], "endpoint out of range"),
+    ([(0, 1, 1), (-1, 2, 1)], "endpoint out of range"),
+    ([(0, 1, 1), (1, 2, 4)], "colour out of range"),
+    ([(0, 1, 1), (1, 2, 0)], "colour out of range"),
+])
+def test_read_edgelist_rejects_bad_edges(tmp_path, edges, message):
+    path = _write_raw_edgelist(tmp_path / "bad.edges", 3, 3, edges)
+    with pytest.raises(ValueError, match=message):
+        read_edgelist(path)
+
+
+@pytest.mark.parametrize("edges, multi", [
+    ([(0, 1, 1), (1, 2, 2), (2, 0, 3)], False),
+    ([(0, 1, 1), (1, 1, 2)], True),
+    ([(0, 1, 1), (1, 2, 2), (0, 1, 3)], True),
+    ([(0, 1, 1), (1, 2, 2), (1, 0, 3)], True),
+])
+def test_read_edgelist_detects_multigraphs(tmp_path, edges, multi):
+    path = _write_raw_edgelist(tmp_path / "g.edges", 3, 3, edges)
+    g = read_edgelist(path)
+    assert g.multigraph is multi
+    assert g.edge_list() == edges
+
+
+def test_builders_without_validation_output_valid_graphs():
+    # the samplers and subgraph builders skip validation; the public
+    # constructor must accept everything they build
+    def revalidate(g):
+        ColouredGraph(n=g.n, c=g.c, u=g.u, v=g.v, colour=g.colour,
+                      multigraph=g.multigraph)
+
+    for seed in range(20):
+        gen = RngStream(600 + seed).generator()
+        n = int(gen.integers(0, 60))
+        for p in (0.0, 0.05, 0.3, 1.0):
+            g = sample_gnp(n, p, gen)
+            assert not g.multigraph
+            revalidate(g)
+            g = colour_uniform(g, int(gen.integers(1, 10)), gen)
+            revalidate(g)
+            revalidate(two_core(g))
+        degs = gen.integers(0, 5, size=12)
+        degs[0] += degs.sum() % 2
+        g = sample_configuration(degs, gen)
+        assert g.multigraph
+        revalidate(g)
+        revalidate(two_core(colour_uniform(g, 3, gen)))
+
+
+# ---------------------------------------------------------------------------
+# adjacency
+
+def lexsort_adjacency(g):
+    """Reference CSR: lexsort of the half-edges by (end, neighbour)."""
+    ends = np.concatenate([g.u, g.v])
+    other = np.concatenate([g.v, g.u])
+    eid = np.concatenate([np.arange(g.m, dtype=np.int64)] * 2)
+    order = np.lexsort((other, ends))
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=g.n), out=indptr[1:])
+    return indptr, other[order], eid[order]
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    return ColouredGraph(n=n, c=0, u=u, v=v, colour=np.zeros(len(u), np.int64),
+                         multigraph=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_adjacency_matches_lexsort_reference(g):
+    got = adjacency(g)
+    want = lexsort_adjacency(g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
