@@ -36,8 +36,7 @@ EXIT_USAGE = 64
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(EXIT_USAGE)
+        _usage_error(message)
 
 
 def _default_seed() -> int:
@@ -45,36 +44,52 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+def _usage_error(message: str):
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(EXIT_USAGE)
+
+
 def _resolve_p(args) -> float:
     if args.p is not None:
-        return args.p
-    if args.eps is not None:
-        return (1.0 + args.eps) / args.n
-    if args.d is not None:
-        return args.d / args.n
-    raise SystemExit(EXIT_USAGE)
+        p = args.p
+    elif args.eps is None and args.d is None:
+        _usage_error("one of --p, --eps, --d is required")
+    elif args.n is None or args.n < 1:
+        _usage_error("--eps and --d need --n of at least 1")
+    elif args.eps is not None:
+        p = (1.0 + args.eps) / args.n
+    else:
+        p = args.d / args.n
+    if not 0.0 <= p <= 1.0:
+        _usage_error(f"edge probability {p} is outside [0, 1]")
+    return p
 
 
 def _add_generator_flags(sub, require_c=True):
-    sub.add_argument("--n", type=int, default=None, help="vertex count")
+    sub.add_argument("--n", type=_int_at_least(0), default=None,
+                     help="vertex count")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--p", type=float, default=None, help="edge probability")
     group.add_argument("--eps", type=float, default=None,
                        help="edge probability (1+eps)/n")
     group.add_argument("--d", type=float, default=None, help="edge probability d/n")
-    sub.add_argument("--c", type=int, default=None, help="colour count")
+    sub.add_argument("--c", type=_int_at_least(0), default=None,
+                     help="colour count")
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed (falls back to RAINBOW_SEED, then 0)")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _echo(config: dict) -> None:
@@ -86,8 +101,7 @@ def cmd_gen(args) -> int:
     rng = RngStream(seed, 0).generator()
     if args.model == "forest":
         if args.m is None or args.t is None:
-            sys.stderr.write("error: gen --model forest requires --m and --t\n")
-            return EXIT_USAGE
+            _usage_error("gen --model forest requires --m and --t")
         _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
                "seed": seed, "out": args.out})
         f = sample_uniform_forest(args.m, args.t, rng)
@@ -97,8 +111,7 @@ def cmd_gen(args) -> int:
         return EXIT_OK
     if args.model == "config":
         if not args.degrees:
-            sys.stderr.write("error: gen --model config requires --degrees\n")
-            return EXIT_USAGE
+            _usage_error("gen --model config requires --degrees")
         degs = [int(x) for x in args.degrees.split(",")]
         _echo({"command": "gen", "model": "config", "degrees": degs,
                "c": args.c, "seed": seed, "out": args.out})
@@ -110,8 +123,7 @@ def cmd_gen(args) -> int:
         print(f"n={g.n} edges={g.m} components={len(part.sizes_desc)}")
         return EXIT_OK
     if args.n is None or args.c is None or (args.p is None and args.eps is None and args.d is None):
-        sys.stderr.write("error: gen requires --n, --c and one of --p/--eps/--d\n")
-        return EXIT_USAGE
+        _usage_error("gen requires --n, --c and one of --p/--eps/--d")
     p = _resolve_p(args)
     config = {"command": "gen", "n": args.n, "p": p, "c": args.c,
               "seed": seed, "out": args.out}
@@ -127,10 +139,15 @@ def cmd_gen(args) -> int:
 
 def _load_or_generate(args):
     if args.input:
-        return read_edgelist(args.input)
+        try:
+            g = read_edgelist(args.input)
+        except (OSError, ValueError) as exc:
+            _usage_error(f"cannot read edge list {args.input}: {exc}")
+        if g.c < 1:
+            _usage_error(f"edge list {args.input} is uncoloured (c = 0)")
+        return g
     if args.n is None or args.c is None:
-        sys.stderr.write("error: find requires --input or generator flags\n")
-        sys.exit(EXIT_USAGE)
+        _usage_error("find requires --input or generator flags")
     seed = args.seed if args.seed is not None else _default_seed()
     gen = RngStream(seed, 0).generator()
     g = sample_gnp(args.n, _resolve_p(args), gen)
@@ -144,6 +161,8 @@ def cmd_find(args) -> int:
               "delta": args.delta, "alpha": args.alpha, "eps": args.eps,
               "mode": args.mode, "budget": args.budget}
     _echo(config)
+    if args.c is not None and args.c < 1:
+        _usage_error("find needs --c of at least 1")
     t0 = time.perf_counter()
     record = {"finder": args.finder, "seed": seed,
               "params": {k: v for k, v in config.items()
@@ -151,8 +170,7 @@ def cmd_find(args) -> int:
     try:
         if args.finder == "cycle":
             if args.n is None or args.c is None or args.eps is None:
-                sys.stderr.write("error: cycle finder needs --n, --c, --eps\n")
-                return EXIT_USAGE
+                _usage_error("cycle finder needs --n, --c, --eps")
             cycle = find_rainbow_cycle_weakly_super(args.n, args.c, args.eps,
                                                     RngStream(seed, 0))
             record["length"] = len(cycle)
@@ -190,8 +208,7 @@ def cmd_find(args) -> int:
                 record["stop_reason"] = trace.stop_reason
                 record["edges"] = sorted(int(e) for e in trace.tree_edges)
             else:
-                sys.stderr.write(f"error: unknown finder {args.finder}\n")
-                return EXIT_USAGE
+                _usage_error(f"unknown finder {args.finder}")
     except EmptyCoreError as exc:
         sys.stderr.write(f"EmptyCore: {exc}\n")
         return EXIT_STRUCTURAL
@@ -252,9 +269,8 @@ def _run_suite(name, reps, seed, threads, n_override=None):
 
 def cmd_experiment(args) -> int:
     if args.suite not in _SUITES:
-        sys.stderr.write(f"error: unknown suite {args.suite!r}; "
-                         f"choose from {', '.join(_SUITES)}\n")
-        return EXIT_USAGE
+        _usage_error(f"unknown suite {args.suite!r}; "
+                     f"choose from {', '.join(_SUITES)}")
     seed = args.seed if args.seed is not None else _default_seed()
     names = [s for s in _SUITES[:-1]] if args.suite == "all" else [args.suite]
     all_ok = True
@@ -321,7 +337,7 @@ def build_parser() -> _Parser:
                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     exp.add_argument("--suite", required=True,
                      help="one of " + ", ".join(_SUITES))
-    exp.add_argument("--reps", type=_positive_int, default=10,
+    exp.add_argument("--reps", type=_int_at_least(1), default=10,
                      help="repetitions")
     exp.add_argument("--seed", type=int, default=None,
                      help="master seed (falls back to RAINBOW_SEED, then 0)")

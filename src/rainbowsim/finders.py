@@ -106,25 +106,14 @@ def _assert_rainbow_tree(g: ColouredGraph, edge_ids) -> None:
     assert is_rainbow(g, ids), "finder output is not rainbow"
     if ids.size == 0:
         return
-    verts = np.unique(np.concatenate([g.u[ids], g.v[ids]]))
+    verts, ends = np.unique(np.concatenate([g.u[ids], g.v[ids]]),
+                            return_inverse=True)
     assert ids.size == verts.size - 1, "finder output is not a tree"
-    # connectivity via union-find
-    idx = {int(x): i for i, x in enumerate(verts)}
-    par = list(range(len(verts)))
-
-    def find(x):
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    comps = len(verts)
-    for e in ids.tolist():
-        a, b = find(idx[int(g.u[e])]), find(idx[int(g.v[e])])
-        if a != b:
-            par[a] = b
-            comps -= 1
-    assert comps == 1, "finder output is not connected"
+    k = ids.size
+    tree = ColouredGraph._trusted(verts.size, 0, ends[:k], ends[k:],
+                                  np.zeros(k, dtype=np.int64), True)
+    assert connected_components(tree).sizes_desc.size == 1, \
+        "finder output is not connected"
 
 
 def _spanning_edges(g: ColouredGraph, edge_ids, keep_vertices=None):

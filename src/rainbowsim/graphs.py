@@ -8,11 +8,13 @@ colour 0 marks an uncoloured edge and is only legal when c == 0.
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 
@@ -186,28 +188,29 @@ def connected_components(g: ColouredGraph) -> VertexPartition:
 
 
 def _peel_masks(g: ColouredGraph):
-    """Iteratively strip degree<=1 vertices; returns (vertex_mask, edge_mask)."""
+    """Iteratively strip degree<=1 vertices; returns (vertex_mask, edge_mask).
+
+    Each round looks only at the live neighbours of the vertices it just
+    removed, so the whole peel is O(m log m) rather than O(n) per round.
+    """
     n = g.n
-    deg = g.degrees().astype(np.int64)
-    alive = np.ones(n, dtype=bool)
     if g.m == 0:
         return np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)
+    deg = g.degrees()
+    alive = np.ones(n, dtype=bool)
     indptr, nbr, _ = adjacency(g)
-    removed = np.flatnonzero(alive & (deg <= 1))
+    removed = np.flatnonzero(deg <= 1)
     while removed.size:
         alive[removed] = False
-        deg[removed] = 0
         # gather all neighbours of the removed set and decrement
         starts = indptr[removed]
-        stops = indptr[removed + 1]
-        lens = stops - starts
-        if lens.sum():
-            flat = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens) \
-                + np.arange(lens.sum())
-            touched = nbr[flat]
-            np.subtract.at(deg, touched, 1)
-        deg[~alive] = 0
-        removed = np.flatnonzero(alive & (deg <= 1))
+        lens = indptr[removed + 1] - starts
+        offsets = np.cumsum(lens) - lens
+        flat = np.repeat(starts - offsets, lens) + np.arange(lens.sum())
+        touched, hits = np.unique(nbr[flat], return_counts=True)
+        deg[touched] -= hits
+        # only a vertex decremented just now can have dropped to degree <= 1
+        removed = touched[alive[touched] & (deg[touched] <= 1)]
     edge_mask = alive[g.u] & alive[g.v]
     return alive, edge_mask
 
@@ -256,36 +259,26 @@ class RootedForest:
 
 
 def forest_depths(f: RootedForest) -> np.ndarray:
-    """Distance to the root per vertex; -1 flags a vertex trapped in a cycle."""
-    par = f.parent.tolist()
-    m = f.m
-    depth = [-2] * m
-    for s in range(f.t):
-        depth[s] = 0
-    for x in range(f.t, m):
-        if depth[x] >= 0:
-            continue
-        chain = []
-        y = x
-        seen = set()
-        while depth[y] < 0:
-            if y in seen:
-                for z in chain:
-                    depth[z] = -1
-                break
-            seen.add(y)
-            chain.append(y)
-            y = par[y]
-        else:
-            d = depth[y]
-            for z in reversed(chain):
-                d += 1
-                depth[z] = d
-            continue
-        # cycle found: mark whole chain
-        for z in chain:
-            depth[z] = -1
-    return np.array([d if d >= 0 else -1 for d in depth], dtype=np.int64)
+    """Distance to the root per vertex.
+
+    -1 flags a vertex whose parent chain never reaches a root: a vertex on
+    a cycle, on a tail that runs into one, or on a chain that ends in a
+    parent outside [0, m). Roots are vertices 0..t-1.
+    """
+    m, t = f.m, f.t
+    idx = np.arange(m, dtype=np.int64)
+    # pointer jumping: anc[x] is x's 2^k-th ancestor (or its root), dist[x]
+    # the number of edges from x to anc[x]; a non-root with an out-of-range
+    # parent points at itself, so it never reaches a root
+    par = f.parent
+    anc = np.where((idx < t) | (par < 0) | (par >= m), idx, par)
+    dist = (idx >= t).astype(np.int64)
+    for _ in range(int(m).bit_length()):
+        if (anc < t).all():
+            break
+        dist += dist[anc]
+        anc = anc[anc]
+    return np.where(anc < t, dist, -1)
 
 
 def subtree_sizes(f: RootedForest) -> np.ndarray:
@@ -378,9 +371,8 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     Raises EmptyCoreError when the restricted 2-core has no vertices, or
     when none of them is in the giant (a giant tree cannot hang off the
     cores of the unicyclic components).
-    Forest orientation: parent pointers point towards the core, assigned by a
-    multi-source BFS from the core vertices (smallest-id-first, neighbours
-    ascending), so trees are rooted at core vertices.
+    Forest orientation: parent pointers point towards the core, so trees
+    are rooted at core vertices.
     """
     giant = _as_index_array(giant)
     unicyclic = _as_index_array(unicyclic)
@@ -412,34 +404,35 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     local[non_core] = t + np.arange(non_core.size, dtype=np.int64)
     labels = np.concatenate([core_verts, non_core])
 
-    # BFS over forest edges from all core vertices at once
+    # BFS over forest edges from a virtual source n adjacent to every core
+    # vertex. Each forest tree meets the core in exactly one vertex (a forest
+    # path between two core vertices would itself survive the peel), so the
+    # parent pointers do not depend on the order of the search.
     fu = g.u[forest_edges]
     fv = g.v[forest_edges]
-    sub = ColouredGraph._trusted(g.n, 0, fu, fv,
-                                 np.zeros(len(fu), dtype=np.int64), True)
-    indptr, nbr, eid_local = adjacency(sub)
-
-    parent = np.full(m, -1, dtype=np.int64)
-    edge_ids = np.full(m, -1, dtype=np.int64)
-    seen = core_v_mask.copy()
-    queue = deque(core_verts.tolist())
-    reached = t
-    nbr_l = nbr.tolist()
-    eidx_l = eid_local.tolist()
-    iptr_l = indptr.tolist()
-    while queue:
-        x = queue.popleft()
-        lx = local[x]
-        for p in range(iptr_l[x], iptr_l[x + 1]):
-            y = nbr_l[p]
-            if not seen[y]:
-                seen[y] = True
-                parent[local[y]] = lx
-                edge_ids[local[y]] = forest_edges[eidx_l[p]]
-                queue.append(y)
-                reached += 1
-    if reached != m:
+    rows = np.concatenate([fu, fv, np.full(t, g.n, dtype=np.int64)])
+    cols = np.concatenate([fv, fu, core_verts])
+    graph = coo_matrix((np.ones(rows.size), (rows, cols)),
+                       shape=(g.n + 1, g.n + 1)).tocsr()
+    order, pred = breadth_first_order(graph, g.n, directed=True,
+                                      return_predecessors=True)
+    if order.size - 1 != m:
         raise ValueError("giant/unicyclic region is not fully attached to the core")
+
+    # order lists n, then the core, then the forest vertices; scipy returns
+    # int32 arrays: widen before forming n-scaled keys
+    ys = order[1 + t:].astype(np.int64)
+    xs = pred[ys].astype(np.int64)
+    parent = np.full(m, -1, dtype=np.int64)
+    parent[local[ys]] = local[xs]
+    # forest edges are simple (parallel edges and loops lie in the 2-core),
+    # so an edge is identified by its sorted endpoints
+    keys = np.minimum(fu, fv) * g.n + np.maximum(fu, fv)
+    by_key = np.argsort(keys)
+    hit = np.searchsorted(keys, np.minimum(xs, ys) * g.n + np.maximum(xs, ys),
+                          sorter=by_key)
+    edge_ids = np.full(m, -1, dtype=np.int64)
+    edge_ids[local[ys]] = forest_edges[by_key[hit]]
 
     forest = RootedForest(m=m, t=t, parent=parent)
     return CoreDecomposition(core_vertices=core_verts,
@@ -462,21 +455,34 @@ def write_edgelist(g: ColouredGraph, path) -> None:
 
 
 def read_edgelist(path) -> ColouredGraph:
-    """Inverse of write_edgelist. Multigraphs are detected from the content."""
+    """Inverse of write_edgelist. Multigraphs are detected from the content.
+
+    Grammar: a header line `n c`, then one `u v colour` line per edge.
+    Fields are whitespace-separated decimal integers, blank lines are
+    skipped and fields after the first two (header) or three (edge) are
+    ignored. Any other input raises ValueError.
+    """
     with open(path, "r", encoding="ascii") as fh:
         head = fh.readline().split()
+        if len(head) < 2:
+            raise ValueError("edge list header must be `n c`")
         n, c = int(head[0]), int(head[1])
-        us, vs, cols = [], [], []
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            us.append(int(parts[0]))
-            vs.append(int(parts[1]))
-            cols.append(int(parts[2]))
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
-    col = np.array(cols, dtype=np.int64)
+        first = fh.readline()
+        while first.isspace():
+            first = fh.readline()
+        if first:
+            # numpy releases with loadtxt's deprecated float fallback parse a
+            # field such as `1.5` as a float and truncate it under a
+            # DeprecationWarning; made an error, whatever the caller's
+            # filters, it becomes loadtxt's "could not convert" ValueError
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                body = np.loadtxt(itertools.chain([first], fh), dtype=np.int64,
+                                  ndmin=2, comments=None, usecols=(0, 1, 2))
+        else:
+            # no edge lines (loadtxt would warn on the empty input)
+            body = np.zeros((0, 3), dtype=np.int64)
+    u, v, col = (np.ascontiguousarray(x) for x in body.T)
     _check_arrays(n, c, u, v, col)
     multi = _multi_edges(n, u, v) is not None
     return ColouredGraph._trusted(n, c, u, v, col, multi)

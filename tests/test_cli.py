@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,93 @@ def test_find_super_on_tree_exits_2(tmp_path):
     path = _write_rainbow_path(tmp_path, 6)
     code, _ = run_cli(["find", "--finder", "super", "--input", str(path)])
     assert code == 2
+
+
+def _assert_one_line_usage_error(code, capsys, *fragments):
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("3 2\n0 1 1\n1 2\n", "invalid column index"),      # two fields
+    ("3 2\n0 1 1\n1 3 2\n", "endpoint out of range"),    # fails validation
+    ("3 2\n0 1 1\n1 2 1.5\n", "could not convert"),      # not an integer
+    ("\n0 1 1\n", "header"),                              # empty header
+    ("3 x\n0 1 1\n", "invalid literal"),                  # malformed header
+])
+def test_find_bad_edge_list_exits_64(tmp_path, capsys, text, fragment):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        # the verdict must not hang on the caller's warning filters
+        warnings.simplefilter("ignore")
+        code, _ = run_cli(["find", "--finder", "sub", "--input", str(path)])
+    _assert_one_line_usage_error(code, capsys, "cannot read edge list", fragment)
+
+
+def test_find_missing_input_exits_64(tmp_path, capsys):
+    path = tmp_path / "absent.edges"
+    code, _ = run_cli(["find", "--finder", "super", "--input", str(path)])
+    _assert_one_line_usage_error(code, capsys, "No such file", str(path))
+
+
+@pytest.mark.parametrize("finder", ["sub", "cycle"])
+def test_find_uncoloured_generator_exits_64(capsys, finder):
+    code, _ = run_cli(["find", "--finder", finder, "--n", "50", "--c", "0",
+                       "--eps", "0.2"])
+    _assert_one_line_usage_error(code, capsys, "--c of at least 1")
+
+
+def test_find_without_probability_exits_64(capsys):
+    code, _ = run_cli(["find", "--finder", "sub", "--n", "50", "--c", "5"])
+    _assert_one_line_usage_error(code, capsys, "one of --p, --eps, --d")
+
+
+def test_find_eps_with_zero_n_exits_64(capsys):
+    code, _ = run_cli(["find", "--finder", "sub", "--n", "0", "--c", "5",
+                       "--eps", "0.1"])
+    _assert_one_line_usage_error(code, capsys, "--n of at least 1")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "-3", "--c", "5"], "argument --n: must be at least 0, got -3"),
+    (["--n", "10", "--c", "-1"], "argument --c: must be at least 0, got -1"),
+])
+def test_find_rejects_negative_counts(capsys, flags, message):
+    code, _ = run_cli(["find", "--finder", "sub", "--p", "0.5"] + flags)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: {message}"]
+
+
+def test_find_uncoloured_input_exits_64(tmp_path, capsys):
+    path = tmp_path / "plain.edges"
+    path.write_text("3 0\n0 1 0\n1 2 0\n")
+    code, _ = run_cli(["find", "--finder", "super", "--input", str(path)])
+    _assert_one_line_usage_error(code, capsys, "uncoloured")
+
+
+@pytest.mark.parametrize("command", ["find", "gen"])
+@pytest.mark.parametrize("flags, p", [
+    (["--d", "20"], "2.0"),
+    (["--eps", "19"], "2.0"),
+    (["--p", "-0.5"], "-0.5"),
+])
+def test_probability_outside_unit_interval_exits_64(tmp_path, capsys, command,
+                                                    flags, p):
+    out = tmp_path / "out.edges"
+    extra = ["--finder", "sub"] if command == "find" else ["--out", str(out)]
+    code, _ = run_cli([command, "--n", "10", "--c", "3"] + flags + extra)
+    _assert_one_line_usage_error(code, capsys,
+                                 f"edge probability {p} is outside [0, 1]")
+    assert not out.exists()
 
 
 def test_find_unknown_flag_usage(tmp_path):

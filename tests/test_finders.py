@@ -10,7 +10,8 @@ from rainbowsim.finders import (InvalidDeltaError, InvalidEpsilonError,
                                 find_rainbow_cycle_weakly_super, rbfs_forest,
                                 rdfs_longest_path, sprinkle_close_cycle,
                                 subcritical_rainbow_tree,
-                                supercritical_rainbow_tree, _path_colours)
+                                supercritical_rainbow_tree, _assert_rainbow_tree,
+                                _path_colours)
 from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
                                connected_components, is_rainbow)
 from rainbowsim.models import (RngStream, colour_uniform, sample_gnp,
@@ -33,6 +34,30 @@ def random_coloured_tree(m, c, seed):
     cols = gen.integers(1, c + 1, size=m - 1)
     return ColouredGraph.from_edges(m, [(a, b, int(col)) for (a, b), col
                                         in zip(edges, cols)], c=c)
+
+
+# ---------------------------------------------------------------------------
+# structural tree assert
+
+def test_assert_rainbow_tree_accepts_rainbow_trees():
+    g = ColouredGraph.from_edges(6, [(0, 1, 1), (1, 2, 2), (1, 3, 3),
+                                     (4, 5, 4), (3, 4, 5)], c=5)
+    _assert_rainbow_tree(g, [0, 1, 2, 3, 4])
+    _assert_rainbow_tree(g, [3])
+    _assert_rainbow_tree(g, [])
+
+
+@pytest.mark.parametrize("edge_ids, message", [
+    ([0, 3], "not a tree"),                 # disconnected forest
+    ([0, 1, 2, 3], "not connected"),        # triangle plus a separate edge
+    ([0, 6], "not rainbow"),                # repeated colour
+])
+def test_assert_rainbow_tree_rejects(edge_ids, message):
+    g = ColouredGraph.from_edges(7, [(0, 1, 1), (1, 2, 2), (2, 0, 3),
+                                     (4, 5, 4), (5, 6, 5), (3, 4, 6),
+                                     (1, 3, 1)], c=6)
+    with pytest.raises(AssertionError, match=message):
+        _assert_rainbow_tree(g, edge_ids)
 
 
 # ---------------------------------------------------------------------------

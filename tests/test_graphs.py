@@ -1,14 +1,19 @@
+import warnings
+from collections import deque
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
-                               EmptyCoreError, RootedForest, adjacency,
-                               bridge_number, connected_components,
-                               core_forest_decomposition, forest_from_line,
-                               forest_to_line, is_rainbow, read_edgelist,
-                               subtree_sizes, two_core, write_edgelist)
+                               EmptyCoreError, RootedForest, _peel_masks,
+                               adjacency, bridge_number, connected_components,
+                               core_forest_decomposition, forest_depths,
+                               forest_from_line, forest_to_line, is_rainbow,
+                               read_edgelist, subtree_sizes, two_core,
+                               write_edgelist)
 from rainbowsim.models import RngStream, colour_uniform, sample_configuration, \
     sample_gnp, sample_uniform_forest, survival_probability
 
@@ -130,6 +135,70 @@ def test_read_edgelist_detects_multigraphs(tmp_path, edges, multi):
     g = read_edgelist(path)
     assert g.multigraph is multi
     assert g.edge_list() == edges
+
+
+@pytest.mark.parametrize("body", [
+    "0 1 1\n1 2 2\n",                       # as written
+    "0 1 1\n1 2 2",                          # no final newline
+    "0 1 1\r\n1 2 2\r\n",                   # CRLF
+    "\n0\t1\t1\n\n  \n 1  2 2  \n\n",        # blank lines, tabs, spaces
+    "+0 1 1 extra\n1 2 +2 7 8\n",            # signs and extra columns
+])
+def test_read_edgelist_whitespace_grammar(tmp_path, body):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"3 2\n" + body.encode("ascii"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = read_edgelist(path)
+    assert (g.n, g.c, g.multigraph) == (3, 2, False)
+    assert g.edge_list() == [(0, 1, 1), (1, 2, 2)]
+    for a in (g.u, g.v, g.colour):
+        assert a.dtype == np.int64 and a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+def test_read_edgelist_header_only(tmp_path, body):
+    path = tmp_path / "empty.edges"
+    path.write_text("4 2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = read_edgelist(path)
+    assert (g.n, g.c, g.m) == (4, 2, 0)
+    for a in (g.u, g.v, g.colour):
+        assert a.dtype == np.int64
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\n0 1 1\n1 2\n",                     # short line
+    "3 2\n0 1 1\n1 2.0 2\n",                 # not an integer
+    "3 2\n0 1 x\n",
+    "3 2\n0 99999999999999999999 1\n",       # outside int64
+    "3 2\n0 1 1\n1 2 3\n",                   # colour out of range
+    "",                                       # no header
+    "\n0 1 1\n",                             # empty header
+    "3\n0 1 1\n",                            # short header
+    "3 two\n0 1 1\n",                        # malformed header
+])
+def test_read_edgelist_rejects_malformed_input(tmp_path, text):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_edgelist(path)
+
+
+@pytest.mark.parametrize("field", ["2.0", "1.5", "1e0"])
+def test_read_edgelist_rejects_float_fields_whatever_the_filters(tmp_path, field):
+    # numpy's loadtxt falls back to float-and-truncate for integer dtypes
+    # under a DeprecationWarning; the reader must refuse the field even when
+    # the caller's filters would hide that warning
+    path = tmp_path / "bad.edges"
+    path.write_text(f"3 2\n0 1 1\n1 2 {field}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="could not convert"):
+            read_edgelist(path)
+        g = _write_raw_edgelist(tmp_path / "ok.edges", 3, 2, [(0, 1, 1)])
+        assert read_edgelist(g).edge_list() == [(0, 1, 1)]
 
 
 def test_builders_without_validation_output_valid_graphs():
@@ -270,6 +339,37 @@ def test_two_core_matches_brute_force_on_random_graphs():
             assert deg[deg > 0].min() >= 2
 
 
+def networkx_two_core(g):
+    """2-core (vertex set, edge-id set) from networkx.k_core.
+
+    k_core takes only simple graphs, so every edge e = (a, b) is subdivided
+    by a fresh vertex, and a loop (a, a) becomes a triangle through two
+    fresh vertices; both keep each vertex's degree and each edge's
+    membership of the 2-core.
+    """
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    for e, (a, b) in enumerate(zip(g.u.tolist(), g.v.tolist())):
+        mid = ("e", e)
+        h.add_edges_from([(a, mid), (mid, b)] if a != b else
+                         [(a, mid), (mid, ("loop", e)), (("loop", e), a)])
+    core = nx.k_core(h, 2)
+    verts = {x for x in core if isinstance(x, int)}
+    edges = {x[1] for x in core if isinstance(x, tuple) and x[0] == "e"}
+    return verts, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_two_core_matches_networkx(g):
+    verts, edges = networkx_two_core(g)
+    vmask, emask = _peel_masks(g)
+    assert set(np.flatnonzero(vmask).tolist()) == verts
+    assert set(np.flatnonzero(emask).tolist()) == edges
+    core = two_core(g)
+    assert core.edge_list() == [g.edge_list()[e] for e in sorted(edges)]
+
+
 # ---------------------------------------------------------------------------
 # core/forest decomposition
 
@@ -344,6 +444,78 @@ def test_decomposition_invariants_on_samples():
         assert deg[dec.core_vertices].min() >= 2
 
 
+def deque_bfs_decomposition(g, giant, unicyclic):
+    """Reference forest of core_forest_decomposition: the deque BFS it used
+    before scipy's breadth_first_order.
+
+    Returns (parent, forest_edge_ids, forest_labels).
+    """
+    in_s = np.zeros(g.n, dtype=bool)
+    in_s[giant] = True
+    in_s[unicyclic] = True
+    vmask, emask = _peel_masks(g)
+    core_v_mask = vmask & in_s
+    core_verts = np.flatnonzero(core_v_mask)
+    if core_verts.size == 0 or not core_v_mask[giant].any():
+        raise EmptyCoreError("empty core")
+    s_edge = in_s[g.u] & in_s[g.v]
+    forest_edges = np.flatnonzero(s_edge & ~(emask & s_edge))
+    s_verts = np.flatnonzero(in_s)
+    t, m = core_verts.size, s_verts.size
+    non_core = s_verts[~core_v_mask[s_verts]]
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[core_verts] = np.arange(t)
+    local[non_core] = t + np.arange(non_core.size)
+    labels = np.concatenate([core_verts, non_core])
+    sub = ColouredGraph(n=g.n, c=0, u=g.u[forest_edges], v=g.v[forest_edges],
+                        colour=np.zeros(forest_edges.size, np.int64),
+                        multigraph=True)
+    indptr, nbr, eid = adjacency(sub)
+    parent = np.full(m, -1, dtype=np.int64)
+    edge_ids = np.full(m, -1, dtype=np.int64)
+    seen = core_v_mask.copy()
+    queue = deque(core_verts.tolist())
+    while queue:
+        x = queue.popleft()
+        for p in range(indptr[x], indptr[x + 1]):
+            y = nbr[p]
+            if not seen[y]:
+                seen[y] = True
+                parent[local[y]] = local[x]
+                edge_ids[local[y]] = forest_edges[eid[p]]
+                queue.append(y)
+    assert seen[s_verts].all()
+    return parent, edge_ids, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(20, 400),
+       st.sampled_from([1.1, 1.1, 1.5, 2.5]), st.booleans())
+def test_decomposition_matches_deque_bfs(seed, n, d, configuration):
+    gen = RngStream(seed).generator()
+    if configuration:
+        degs = gen.integers(0, 4, size=n)
+        degs[0] += degs.sum() % 2
+        g = sample_configuration(degs, gen)
+    else:
+        g = sample_gnp(n, d / n, gen)
+    g = colour_uniform(g, n, gen)
+    part = connected_components(g)
+    giant = part.largest_vertices()
+    uni = _unicyclic_vertices(g, part)
+    try:
+        want = deque_bfs_decomposition(g, giant, uni)
+    except EmptyCoreError:
+        with pytest.raises(EmptyCoreError):
+            core_forest_decomposition(g, giant, uni)
+        return
+    dec = core_forest_decomposition(g, giant, uni)
+    got = (dec.forest.parent, dec.forest_edge_ids, dec.forest_labels)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bridge numbers
 
@@ -379,10 +551,86 @@ def test_bridge_number_against_component_recount():
         assert got == len(far)
 
 
+def test_forest_depths_out_of_range_parent():
+    f = RootedForest(m=5, t=1, parent=np.array([-1, 0, -1, 7, 3]))
+    assert forest_depths(f).tolist() == [0, 1, -1, -1, -1]
+    with pytest.raises(ValueError):
+        subtree_sizes(f)
+    with pytest.raises(ValueError):
+        f.check()
+
+
 def test_subtree_sizes_total():
     f = RootedForest(m=6, t=2, parent=np.array([-1, -1, 0, 0, 2, 1]))
     sizes = subtree_sizes(f)
     assert sizes.tolist() == [4, 2, 2, 1, 1, 1]
+
+
+def chain_walk_depths(f):
+    """Reference forest_depths: the per-vertex chain walk it replaced."""
+    par = f.parent.tolist()
+    m = f.m
+    depth = [-2] * m
+    for s in range(f.t):
+        depth[s] = 0
+    for x in range(f.t, m):
+        if depth[x] >= 0:
+            continue
+        chain = []
+        y = x
+        seen = set()
+        while depth[y] < 0:
+            if y in seen:
+                for z in chain:
+                    depth[z] = -1
+                break
+            seen.add(y)
+            chain.append(y)
+            y = par[y]
+        else:
+            d = depth[y]
+            for z in reversed(chain):
+                d += 1
+                depth[z] = d
+            continue
+        # cycle found: mark whole chain
+        for z in chain:
+            depth[z] = -1
+    return np.array([d if d >= 0 else -1 for d in depth], dtype=np.int64)
+
+
+@st.composite
+def parent_arrays(draw):
+    """Roots 0..t-1 and arbitrary in-range parents: forests, cycles, and
+    tails running into cycles."""
+    m = draw(st.integers(1, 40))
+    t = draw(st.integers(0, m))
+    rest = draw(st.lists(st.integers(0, m - 1), min_size=m - t,
+                         max_size=m - t))
+    if t and draw(st.booleans()):
+        rest = [p % x for p, x in zip(rest, range(t, m))]   # acyclic
+    return RootedForest(m=m, t=t, parent=np.array([-1] * t + rest, dtype=np.int64))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parent_arrays())
+def test_forest_depths_match_chain_walk(f):
+    want = chain_walk_depths(f)
+    got = forest_depths(f)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    if (want < 0).any():
+        with pytest.raises(ValueError):
+            subtree_sizes(f)
+        return
+    # subtree of w: every vertex whose parent chain passes through w
+    below = np.zeros(f.m, dtype=np.int64)
+    for x in range(f.m):
+        y = x
+        while y >= 0:
+            below[y] += 1
+            y = f.parent[y] if y >= f.t else -1
+    assert subtree_sizes(f).tolist() == below.tolist()
 
 
 # ---------------------------------------------------------------------------
