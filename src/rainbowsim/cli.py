@@ -25,8 +25,9 @@ from .finders import (EmptyCoreError, NotFoundError, find_rainbow_cycle_weakly_s
                       supercritical_rainbow_tree)
 from .graphs import (connected_components, forest_to_line, read_edgelist,
                      write_edgelist)
-from .models import (RngStream, colour_uniform, sample_configuration,
-                     sample_gnp, sample_uniform_forest)
+from .models import (DegreeSequence, InvalidRootCountError, RngStream,
+                     colour_uniform, sample_configuration, sample_gnp,
+                     sample_uniform_forest)
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 2
@@ -104,7 +105,10 @@ def cmd_gen(args) -> int:
             _usage_error("gen --model forest requires --m and --t")
         _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
                "seed": seed, "out": args.out})
-        f = sample_uniform_forest(args.m, args.t, rng)
+        try:
+            f = sample_uniform_forest(args.m, args.t, rng)
+        except InvalidRootCountError as exc:
+            _usage_error(f"gen --model forest: {exc}")
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(forest_to_line(f) + "\n")
         print(f"m={f.m} t={f.t} edges={f.m - f.t}")
@@ -112,10 +116,14 @@ def cmd_gen(args) -> int:
     if args.model == "config":
         if not args.degrees:
             _usage_error("gen --model config requires --degrees")
-        degs = [int(x) for x in args.degrees.split(",")]
+        try:
+            degs = [int(x) for x in args.degrees.split(",")]
+            seq = DegreeSequence(degs)
+        except (ValueError, OverflowError) as exc:
+            _usage_error(f"--degrees {args.degrees!r}: {exc}")
         _echo({"command": "gen", "model": "config", "degrees": degs,
                "c": args.c, "seed": seed, "out": args.out})
-        g = sample_configuration(degs, rng)
+        g = sample_configuration(seq, rng)
         if args.c and args.c >= 1:
             g = colour_uniform(g, args.c, rng)
         write_edgelist(g, args.out)

@@ -28,11 +28,6 @@ ENVELOPES = {
     "phase_benchmark_rel": 0.15,
     # exp_giant_benchmark: |mean fraction - gamma(d)| bound
     "giant_tol": 0.02,
-    # exp_cycle: cycle length over (1 - delta) min(n, c), and required successes
-    "cycle_frac": 1.0,
+    # exp_cycle: repetitions out of 10 whose cycle reaches (1 - delta) min(n, c)
     "cycle_required": 8,
-    # rdfs acceptance: path length over (1 - delta) min(n, c)
-    "rdfs_required": 9,
-    # estimator-vs-enumeration agreement, in units of sigma/sqrt(reps)
-    "estimator_sigmas": 4.0,
 }

@@ -314,19 +314,18 @@ def supercritical_rainbow_tree(g: ColouredGraph):
 # rainbow depth-first search
 
 class _Fenwick:
-    """Fenwick tree over 0..n-1 counting set members, with rank and select."""
+    """Fenwick tree over 0..n-1 counting set members, with rank and select.
+
+    Every id starts as a member.
+    """
 
     __slots__ = ("n", "tree")
 
-    def __init__(self, n, all_ones=True):
+    def __init__(self, n):
         self.n = n
-        self.tree = [0] * (n + 1)
-        if all_ones:
-            for i in range(1, n + 1):
-                self.tree[i] += 1
-                j = i + (i & -i)
-                if j <= n:
-                    self.tree[j] += self.tree[i]
+        # with every id a member, node i covers (i - lowbit(i), i]
+        i = np.arange(n + 1, dtype=np.int64)
+        self.tree = (i & -i).tolist()
 
     def add(self, i, delta):
         i += 1
@@ -344,9 +343,6 @@ class _Fenwick:
             s += self.tree[i]
             i -= i & -i
         return s
-
-    def total(self):
-        return self.rank(self.n - 1)
 
     def select(self, k):
         """Smallest id whose prefix count reaches k (1-based)."""
@@ -410,6 +406,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     accepted = 0
     best_len = 0
     best_top = -1
+    root = 0                        # roots only grow: each is the least unvisited id
     stop = None
 
     while stop is None:
@@ -417,7 +414,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             if ucount == 0:
                 stop = "exhausted"
                 break
-            root = fen.select(1)
+            root = state.find(0, root)
             state[root] = 1
             fen.add(root, -1)
             ucount -= 1
@@ -542,7 +539,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     cols = g.colour.tolist()
 
     und = bytearray([1]) * n
-    fen = _Fenwick(n)
+    # only the faithful pool cap needs rank and select over the undiscovered
+    fen = _Fenwick(n) if faithful else None
     ucount = n
     forest_cols: set[int] = set()
     queue: deque[int] = deque()
@@ -553,6 +551,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     cur_size = 0
     best_edges: list[int] = []
     best_size = 0
+    root = 0                        # roots only grow: each is the least undiscovered id
     started = False
     stop = None
 
@@ -560,7 +559,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
         nonlocal best_edges, best_size
         if cur_size > best_size:
             best_size = cur_size
-            best_edges = cur_edges[:]
+            best_edges = cur_edges    # each tree starts a fresh list
 
     while stop is None:
         if not queue:
@@ -572,9 +571,10 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             if ucount == 0:
                 stop = "exhausted"
                 break
-            root = fen.select(1)
+            root = und.find(1, root)
             und[root] = 0
-            fen.add(root, -1)
+            if faithful:
+                fen.add(root, -1)
             ucount -= 1
             total_forest += 1
             cur_edges = []
@@ -605,7 +605,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                     if gen.random() < extra:
                         continue
             und[u] = 0
-            fen.add(u, -1)
+            if faithful:
+                fen.add(u, -1)
             ucount -= 1
             queue.append(u)
             cur_edges.append(eid_l[p])

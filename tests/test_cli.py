@@ -107,6 +107,34 @@ def test_gen_config_model(tmp_path):
     assert g.degrees().tolist() == [3, 3, 2, 2]
 
 
+@pytest.mark.parametrize("flags, fragment", [
+    (["--model", "forest", "--m", "5", "--t", "0"], "need 1 <= t <= m"),
+    (["--model", "forest", "--m", "-2", "--t", "1"], "need 1 <= t <= m"),
+    (["--model", "config", "--degrees", "1,x"], "invalid literal"),
+    (["--model", "config", "--degrees", "1,1,1"], "degree sum must be even"),
+])
+def test_gen_rejected_model_arguments_exit_64(tmp_path, capsys, flags, fragment):
+    out = tmp_path / "out.txt"
+    code, _ = run_cli(["gen"] + flags + ["--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, fragment)
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import rainbowsim
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "g.edges"
+    proc = subprocess.run([sys.executable, "-m", "rainbowsim", "gen", "--n", "20",
+                           "--p", "0.2", "--c", "4", "--seed", "1",
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_edgelist(out).n == 20
+
+
 # ---------------------------------------------------------------------------
 # find
 

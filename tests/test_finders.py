@@ -1,21 +1,23 @@
-from collections import Counter
+import math
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowsim.finders import (InvalidDeltaError, InvalidEpsilonError,
-                                NotFoundError, check_cycle, close_cycle_edges,
+from rainbowsim.finders import (ExplorationTrace, InvalidDeltaError,
+                                InvalidEpsilonError, NotFoundError, check_cycle,
+                                close_cycle_edges,
                                 find_rainbow_cycle_weakly_super, rbfs_forest,
                                 rdfs_longest_path, sprinkle_close_cycle,
                                 subcritical_rainbow_tree,
                                 supercritical_rainbow_tree, _assert_rainbow_tree,
-                                _path_colours)
+                                _Fenwick, _path_colours, _require_coloured)
 from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
                                connected_components, is_rainbow)
-from rainbowsim.models import (RngStream, colour_uniform, sample_gnp,
-                               sample_uniform_forest)
+from rainbowsim.models import (RngStream, as_generator, colour_uniform,
+                               sample_gnp, sample_uniform_forest)
 from rainbowsim.oracles import exact_max_rainbow_tree
 
 
@@ -346,6 +348,413 @@ def test_rbfs_greedy_linear_tree_envelope():
         if trace.order >= bound:
             good += 1
     assert good >= 9
+
+
+# ---------------------------------------------------------------------------
+# explorers against the Fenwick-tree references
+#
+# The explorers pick each root as the least undiscovered id with a bytearray
+# scan, and greedy RBFS keeps no Fenwick tree; the references below pick it
+# with Fenwick select and keep the tree in every mode.
+
+class ReferenceFenwick:
+    """Fenwick tree over 0..n-1 counting set members, with rank and select."""
+
+    __slots__ = ("n", "tree")
+
+    def __init__(self, n, all_ones=True):
+        self.n = n
+        self.tree = [0] * (n + 1)
+        if all_ones:
+            for i in range(1, n + 1):
+                self.tree[i] += 1
+                j = i + (i & -i)
+                if j <= n:
+                    self.tree[j] += self.tree[i]
+
+    def add(self, i, delta):
+        i += 1
+        while i <= self.n:
+            self.tree[i] += delta
+            i += i & -i
+
+    def rank(self, i):
+        """Count of members with id <= i."""
+        if i < 0:
+            return 0
+        i = min(i, self.n - 1) + 1
+        s = 0
+        while i > 0:
+            s += self.tree[i]
+            i -= i & -i
+        return s
+
+    def total(self):
+        return self.rank(self.n - 1)
+
+    def select(self, k):
+        """Smallest id whose prefix count reaches k (1-based)."""
+        pos = 0
+        rem = k
+        log = self.n.bit_length()
+        for step in range(log, -1, -1):
+            nxt = pos + (1 << step)
+            if nxt <= self.n and self.tree[nxt] < rem:
+                pos = nxt
+                rem -= self.tree[pos]
+        return pos  # 0-based id
+
+
+def fenwick_rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
+                              delta: float = 0.1, query_budget: int | None = None,
+                              target_order: int | None = None) -> ExplorationTrace:
+    """The RDFS explorer with a Fenwick-tree root pick, kept as the reference."""
+    _require_coloured(g)
+    if mode not in ("faithful", "greedy"):
+        raise ValueError("mode must be 'faithful' or 'greedy'")
+    n = g.n
+    r = min(g.c, n)
+    faithful = mode == "faithful"
+    if faithful:
+        if not (0.0 < delta < 1.0):
+            raise InvalidDeltaError("need 0 < delta < 1 in faithful mode")
+        budget = query_budget if query_budget is not None \
+            else math.ceil(delta * delta * r * n / 8.0)
+        target = target_order if target_order is not None \
+            else math.floor((1.0 - delta) * r) + 1
+    else:
+        budget = None
+        target = None
+
+    indptr, nbr, eid = adjacency(g)
+    iptr = indptr.tolist()
+    nbr_l = nbr.tolist()
+    eid_l = eid.tolist()
+    cols = g.colour.tolist()
+
+    state = bytearray(n)            # 0 unvisited, 1 active, 2 visited
+    fen = ReferenceFenwick(n)
+    ucount = n
+    stack: list[int] = []
+    par_in = [-1] * n
+    col_in = [0] * n
+    edge_in = [-1] * n
+    aptr = iptr[:-1].copy() if n else []
+    cursor = [-1] * n
+    lset: set[int] = set()
+    queries = 0
+    accepted = 0
+    best_len = 0
+    best_top = -1
+    stop = None
+
+    while stop is None:
+        if not stack:
+            if ucount == 0:
+                stop = "exhausted"
+                break
+            root = fen.select(1)
+            state[root] = 1
+            fen.add(root, -1)
+            ucount -= 1
+            stack.append(root)
+            if 1 > best_len:
+                best_len, best_top = 1, root
+            if faithful and target is not None and len(stack) >= target:
+                stop = "target"
+                break
+            continue
+        v = stack[-1]
+        p = aptr[v]
+        end = iptr[v + 1]
+        found = -1
+        while p < end:
+            u = nbr_l[p]
+            if state[u] == 0 and cols[eid_l[p]] not in lset:
+                found = p
+                break
+            p += 1
+        if found >= 0:
+            u = nbr_l[found]
+            q = fen.rank(u) - fen.rank(cursor[v])
+            if faithful and queries + q > budget:
+                queries = budget
+                stop = "budget"
+                break
+            queries += q
+            accepted += 1
+            cursor[v] = u
+            aptr[v] = found + 1
+            state[u] = 1
+            fen.add(u, -1)
+            ucount -= 1
+            colour = cols[eid_l[found]]
+            par_in[u] = v
+            col_in[u] = colour
+            edge_in[u] = eid_l[found]
+            lset.add(colour)
+            stack.append(u)
+            if len(stack) > best_len:
+                best_len, best_top = len(stack), u
+            if faithful and len(stack) >= target:
+                stop = "target"
+        else:
+            q = ucount - fen.rank(cursor[v])
+            if faithful and queries + q > budget:
+                queries = budget
+                stop = "budget"
+                break
+            queries += q
+            aptr[v] = end
+            cursor[v] = n
+            stack.pop()
+            state[v] = 2
+            if par_in[v] >= 0:
+                lset.discard(col_in[v])
+
+    if stop == "target":
+        path = stack[:]
+    else:
+        path = []
+        x = best_top
+        while x >= 0:
+            path.append(x)
+            x = par_in[x]
+        path.reverse()
+    path_edges = [edge_in[x] for x in path[1:]]
+    trace = ExplorationTrace(queries=queries, accepted=accepted,
+                             stop_reason=stop, path=path, path_edges=path_edges)
+    assert trace.accepted <= trace.queries
+    assert is_rainbow(g, path_edges), "RDFS path is not rainbow"
+    return trace
+
+
+def fenwick_rbfs_forest(g: ColouredGraph, delta: float = 0.1,
+                        alpha: float | None = None, mode: str = "greedy",
+                        eps: float | None = None, rng=None) -> ExplorationTrace:
+    """The RBFS explorer with a Fenwick tree in both modes, kept as the reference."""
+    _require_coloured(g)
+    if mode not in ("faithful", "greedy"):
+        raise ValueError("mode must be 'faithful' or 'greedy'")
+    n = g.n
+    if alpha is None:
+        alpha = g.c / n if n else 1.0
+    faithful = mode == "faithful"
+    if faithful:
+        if not (0.0 < delta < min(1.0, alpha)):
+            raise InvalidDeltaError("need 0 < delta < min(1, alpha)")
+        if eps is None:
+            kappa = alpha / (alpha + 1.0)
+            disc = kappa * kappa - 4.0 * delta
+            if disc < 0:
+                raise InvalidDeltaError("delta too large to induce a growth margin")
+            eps = (kappa - math.sqrt(disc)) / 2.0
+        pool_cap = int((1.0 - delta) * n)
+        if pool_cap < 1:
+            raise InvalidDeltaError("pool cap below one vertex")
+        s1 = delta * n - eps * eps * n
+        s2 = eps * eps * n
+        gen = as_generator(rng)
+    else:
+        pool_cap = n
+        s1 = s2 = None
+        gen = None
+
+    indptr, nbr, eid = adjacency(g)
+    iptr = indptr.tolist()
+    nbr_l = nbr.tolist()
+    eid_l = eid.tolist()
+    cols = g.colour.tolist()
+
+    und = bytearray([1]) * n
+    fen = ReferenceFenwick(n)
+    ucount = n
+    forest_cols: set[int] = set()
+    queue: deque[int] = deque()
+    queries = 0
+    accepted = 0
+    total_forest = 0
+    cur_edges: list[int] = []
+    cur_size = 0
+    best_edges: list[int] = []
+    best_size = 0
+    started = False
+    stop = None
+
+    def close_tree():
+        nonlocal best_edges, best_size
+        if cur_size > best_size:
+            best_size = cur_size
+            best_edges = cur_edges[:]
+
+    while stop is None:
+        if not queue:
+            if started:
+                close_tree()
+                if faithful and total_forest >= s2:
+                    stop = "quota"
+                    break
+            if ucount == 0:
+                stop = "exhausted"
+                break
+            root = fen.select(1)
+            und[root] = 0
+            fen.add(root, -1)
+            ucount -= 1
+            total_forest += 1
+            cur_edges = []
+            cur_size = 1
+            started = True
+            queue.append(root)
+            continue
+        v = queue.popleft()
+        if faithful and ucount > pool_cap:
+            thr = fen.select(pool_cap)
+            queries += pool_cap
+        else:
+            thr = n
+            queries += ucount
+        for p in range(iptr[v], iptr[v + 1]):
+            u = nbr_l[p]
+            if u > thr or not und[u]:
+                continue
+            colour = cols[eid_l[p]]
+            if colour in forest_cols:
+                continue
+            if faithful:
+                used = len(forest_cols)
+                rej = used / g.c
+                dr = delta / alpha
+                if rej < dr:
+                    extra = (dr - rej) / (1.0 - rej)
+                    if gen.random() < extra:
+                        continue
+            und[u] = 0
+            fen.add(u, -1)
+            ucount -= 1
+            queue.append(u)
+            cur_edges.append(eid_l[p])
+            cur_size += 1
+            total_forest += 1
+            forest_cols.add(colour)
+            accepted += 1
+            if faithful and cur_size >= s1:
+                stop = "target"
+                break
+
+    close_tree()
+    trace = ExplorationTrace(queries=queries, accepted=accepted,
+                             stop_reason=stop, tree_edges=best_edges)
+    assert trace.accepted <= trace.queries
+    assert is_rainbow(g, best_edges), "RBFS tree is not rainbow"
+    if best_edges:
+        _assert_rainbow_tree(g, best_edges)
+    return trace
+
+
+def test_fenwick_all_ones_build_matches_reference():
+    for n in range(0, 130):
+        assert _Fenwick(n).tree == ReferenceFenwick(n).tree
+
+
+@st.composite
+def coloured_multigraphs(draw):
+    """Coloured graphs or multigraphs, with loops and isolated vertices."""
+    n = draw(st.integers(0, 40))
+    c = draw(st.integers(1, 60))
+    multigraph = draw(st.booleans())
+    pairs = []
+    if n:
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if not multigraph:
+        simple = {}
+        for a, b in pairs:
+            if a != b:
+                simple.setdefault((min(a, b), max(a, b)), (a, b))
+        pairs = list(simple.values())
+    cols = draw(st.lists(st.integers(1, c), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return ColouredGraph.from_edges(n, [(a, b, col) for (a, b), col
+                                        in zip(pairs, cols)],
+                                    c=c, multigraph=multigraph)
+
+
+def trace_fields(trace):
+    return (trace.queries, trace.accepted, trace.stop_reason, trace.path,
+            trace.path_edges, trace.tree_edges)
+
+
+def assert_matches_reference(finder, reference, g, **kwargs):
+    """Same trace as the reference, or the same refusal."""
+    try:
+        expected = reference(g, **kwargs)
+    except InvalidDeltaError:
+        with pytest.raises(InvalidDeltaError):
+            finder(g, **kwargs)
+        return None
+    got = finder(g, **kwargs)
+    assert trace_fields(got) == trace_fields(expected)
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_multigraphs(),
+       st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3]),
+       st.one_of(st.none(), st.floats(0.05, 50.0)),
+       st.one_of(st.none(), st.floats(0.01, 0.5)),
+       st.integers(0, 2 ** 32 - 1))
+def test_rbfs_matches_fenwick_reference(g, delta, alpha, eps, seed):
+    assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g, mode="greedy")
+    assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                             mode="faithful", delta=delta, alpha=alpha,
+                             eps=eps, rng=RngStream(seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_multigraphs(),
+       st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+       st.one_of(st.none(), st.integers(0, 300)),
+       st.one_of(st.none(), st.integers(1, 40)))
+def test_rdfs_matches_fenwick_reference(g, delta, budget, target):
+    assert_matches_reference(rdfs_longest_path, fenwick_rdfs_longest_path, g,
+                             mode="greedy")
+    assert_matches_reference(rdfs_longest_path, fenwick_rdfs_longest_path, g,
+                             mode="faithful", delta=delta, query_budget=budget,
+                             target_order=target)
+
+
+def test_rbfs_faithful_pool_cap_moves_and_target_stops():
+    # n = 50, delta = 0.2: the pool holds the 40 least undiscovered ids, so
+    # the cap starts at id 40 and rises as low ids are discovered
+    n = 50
+    adj = {0: [1, 2, 3, 45, 46, 47, 48, 49], 1: [41, 42, 43], 2: [4, 5, 6]}
+    edges = [(a, b, k + 1) for k, (a, b) in
+             enumerate((a, b) for a in adj for b in adj[a])]
+    g = ColouredGraph.from_edges(n, edges, c=10 ** 6)
+    trace = assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                                     mode="faithful", delta=0.2, eps=0.1,
+                                     rng=RngStream(11))
+    # the tree reaches delta n - eps^2 n = 9.5 at its tenth vertex
+    assert trace.stop_reason == "target" and trace.order == 10
+    reached = {v for e in trace.tree_edges for v in (g.u[e], g.v[e])}
+    assert {41, 42, 43} <= reached and not reached & {45, 46, 47, 48, 49}
+
+
+def test_explorers_pick_roots_in_ascending_order():
+    # isolated and exhausted components force a new root many times; the
+    # largest id is a root of its own
+    n = 30
+    edges = [(20, 3, 1), (3, 25, 2), (10, 12, 3), (12, 10, 4), (7, 7, 5),
+             (28, 1, 6), (1, 28, 7), (15, 16, 8), (16, 14, 9)]
+    g = ColouredGraph.from_edges(n, edges, c=9, multigraph=True)
+    for mode in ("greedy", "faithful"):
+        # faithful: the forest quota eps^2 n = 7.5 is met by eight roots
+        assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                                 mode=mode, delta=0.9, alpha=2.0, eps=0.5,
+                                 rng=RngStream(3))
+        assert_matches_reference(rdfs_longest_path, fenwick_rdfs_longest_path,
+                                 g, mode=mode, delta=0.5, query_budget=10 ** 6)
 
 
 # ---------------------------------------------------------------------------
