@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .graphs import (ColouredGraph, EmptyCoreError, adjacency,
                      connected_components, core_forest_decomposition,
@@ -116,29 +118,45 @@ def _assert_rainbow_tree(g: ColouredGraph, edge_ids) -> None:
         "finder output is not connected"
 
 
-def _spanning_edges(g: ColouredGraph, edge_ids, keep_vertices=None):
-    """Spanning forest edges of the subgraph, scanning ids in ascending order."""
-    ids = np.asarray(edge_ids, dtype=np.int64)
-    parent = {}
+def _spanning_edges(g: ColouredGraph, edge_ids) -> np.ndarray:
+    """Spanning forest of the given edges, in ascending id order.
 
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
+    It is the forest a union-find scanning the ids in ascending order keeps:
+    Kruskal with the distinct weights id + 1 (scipy's minimum spanning tree)
+    picks exactly those edges. Loops never join two trees, and of parallel
+    edges only the lowest id can, so both are dropped first.
+    """
+    ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
+    ids = ids[g.u[ids] != g.v[ids]]
+    if ids.size == 0:
+        return ids
+    lo = np.minimum(g.u[ids], g.v[ids])
+    hi = np.maximum(g.u[ids], g.v[ids])
+    _, first = np.unique(lo * g.n + hi, return_index=True)
+    ids, lo, hi = ids[first], lo[first], hi[first]
+    verts, ends = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    k = ids.size
+    weights = coo_matrix(((ids + 1).astype(np.float64), (ends[:k], ends[k:])),
+                         shape=(verts.size, verts.size))
+    tree = minimum_spanning_tree(weights)
+    return np.sort(tree.data.astype(np.int64) - 1)
 
-    chosen = []
-    for e in np.sort(ids).tolist():
-        a, b = int(g.u[e]), int(g.v[e])
-        if keep_vertices is not None and (a not in keep_vertices or b not in keep_vertices):
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(e)
-    return np.array(chosen, dtype=np.int64)
+
+def _largest_piece(g: ColouredGraph, verts, edge_ids):
+    """Largest component of the subgraph with vertex set ``verts`` (sorted)
+    and edges ``edge_ids`` (both ends in ``verts``); ties go to the piece
+    holding the smallest vertex.
+
+    Runs on local ids 0..len(verts)-1. Returns the piece as a mask over
+    ``verts`` and as a mask over ``edge_ids``.
+    """
+    k = len(edge_ids)
+    ends = np.searchsorted(verts, np.concatenate([g.u[edge_ids], g.v[edge_ids]]))
+    sub = ColouredGraph._trusted(len(verts), 0, ends[:k], ends[k:],
+                                 np.zeros(k, dtype=np.int64), True)
+    part = connected_components(sub)
+    in_piece = part.labels == part.largest_id()
+    return in_piece, in_piece[ends[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -154,24 +172,17 @@ def subcritical_rainbow_tree(g: ColouredGraph) -> np.ndarray:
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
     part = connected_components(g)
-    tid = part.largest_id()
-    in_t = part.labels == tid
-    t_edges = np.flatnonzero(in_t[g.u] & in_t[g.v])
+    in_t = part.labels == part.largest_id()
+    # the largest component is whole: an edge with one end in it lies in it
+    t_edges = np.flatnonzero(in_t[g.u])
     if t_edges.size == 0:
         return np.zeros(0, dtype=np.int64)
     cols = g.colour[t_edges]
     counts = np.bincount(cols)
     keep = t_edges[counts[cols] == 1]
-    # largest surviving component among kept edges plus isolated T-vertices
-    sub = ColouredGraph._trusted(g.n, g.c, g.u[keep], g.v[keep],
-                                 g.colour[keep], g.multigraph)
-    sp = connected_components(sub)
-    survivor_labels = sp.labels.copy()
-    survivor_labels[~in_t] = -1
-    ids, sizes = np.unique(survivor_labels[survivor_labels >= 0], return_counts=True)
-    best = ids[sizes == sizes.max()].min()
-    keep_set = set(np.flatnonzero(survivor_labels == best).tolist())
-    out = _spanning_edges(g, keep, keep_vertices=keep_set)
+    # largest surviving piece among kept edges plus isolated vertices
+    _, keep_in_piece = _largest_piece(g, np.flatnonzero(in_t), keep)
+    out = _spanning_edges(g, keep[keep_in_piece])
     _assert_rainbow_tree(g, out)
     return out
 
@@ -189,19 +200,18 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     kept piece) and return a spanning tree of what stays connected.
     """
     _require_coloured(g)
+    if g.n == 0:
+        raise EmptyCoreError("graph has no vertices")
     part = connected_components(g)
     giant_id = part.largest_id()
     giant = np.flatnonzero(part.labels == giant_id)
 
     # unicyclic components: edge count equals vertex count
-    edge_comp = part.labels[g.u]
-    ids, vcounts = np.unique(part.labels, return_counts=True)
-    ecounts = np.zeros(len(ids), dtype=np.int64)
-    pos = np.searchsorted(ids, edge_comp)
-    np.add.at(ecounts, pos, 1)
-    uni_ids = ids[(ecounts == vcounts) & (ids != giant_id)]
-    uni_mask = np.isin(part.labels, uni_ids)
-    unicyclic = np.flatnonzero(uni_mask)
+    vcount = np.bincount(part.labels, minlength=g.n)
+    ecount = np.bincount(part.labels[g.u], minlength=g.n)
+    uni = (vcount > 0) & (ecount == vcount)
+    uni[giant_id] = False
+    unicyclic = np.flatnonzero(uni[part.labels])
 
     decomp = core_forest_decomposition(g, giant, unicyclic)
     core_edges = decomp.core_edges
@@ -211,64 +221,45 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     r_edges = core_edges[dup_mask]
     kept_core_edges = core_edges[~dup_mask]
 
-    # largest component of core minus duplicate-coloured edges
-    core_sub = ColouredGraph._trusted(g.n, g.c, g.u[kept_core_edges],
-                                      g.v[kept_core_edges],
-                                      g.colour[kept_core_edges], g.multigraph)
-    cp = connected_components(core_sub)
-    core_labels = cp.labels.copy()
-    on_core = np.zeros(g.n, dtype=bool)
-    on_core[decomp.core_vertices] = True
-    core_labels[~on_core] = -1
-    cids, csizes = np.unique(core_labels[core_labels >= 0], return_counts=True)
-    hat_id = cids[csizes == csizes.max()].min()
-    hat_mask = core_labels == hat_id
-    hat_vertices = np.flatnonzero(hat_mask)
-    hat_edge_ids = kept_core_edges[hat_mask[g.u[kept_core_edges]]
-                                   & hat_mask[g.v[kept_core_edges]]]
-    z_cols = np.unique(g.colour[hat_edge_ids])
+    # largest component of core minus duplicate-coloured edges; forest roots
+    # are the core vertices in the same order, so its mask marks kept roots
+    root_in_hat, hat_edge_mask = _largest_piece(g, decomp.core_vertices,
+                                                kept_core_edges)
+    hat_edge_ids = kept_core_edges[hat_edge_mask]
+    # kept core edges carry pairwise distinct colours
+    z_cols = g.colour[hat_edge_ids]
 
     f = decomp.forest
     m, t = f.m, f.t
-    labels = decomp.forest_labels
     w_all = np.arange(t, m, dtype=np.int64)
     f_edge_ids = decomp.forest_edge_ids[t:]
-    f_cols = g.colour[f_edge_ids] if len(f_edge_ids) else np.zeros(0, dtype=np.int64)
+    f_cols = g.colour[f_edge_ids]
     b = subtree_sizes(f)
 
     in_z = np.zeros(g.c + 1, dtype=bool)
     in_z[z_cols] = True
-    fcount = np.bincount(f_cols, minlength=g.c + 1) if len(f_cols) else np.zeros(g.c + 1, np.int64)
+    fcount = np.bincount(f_cols, minlength=g.c + 1)
 
-    e1 = w_all[in_z[f_cols]] if len(f_cols) else w_all[:0]
-    e2 = w_all[fcount[f_cols] >= 3] if len(f_cols) else w_all[:0]
+    e1 = w_all[in_z[f_cols]]
+    e2 = w_all[fcount[f_cols] >= 3]
     x1 = int(b[e1].sum())
     x2 = int(b[e2].sum())
 
     # colour pairs: delete the branch with the smaller (bridge number, edge id)
-    e3 = []
-    x3 = 0
-    if len(f_cols):
-        pair_ws = w_all[fcount[f_cols] == 2]
-        if pair_ws.size:
-            order = np.lexsort((b[pair_ws], f_cols[pair_ws - t]))
-            ws = pair_ws[order]
-            for i in range(0, len(ws), 2):
-                w_a, w_b = int(ws[i]), int(ws[i + 1])
-                ba, bb = int(b[w_a]), int(b[w_b])
-                ka = (ba, int(f_edge_ids[w_a - t]))
-                kb = (bb, int(f_edge_ids[w_b - t]))
-                loser = w_a if ka <= kb else w_b
-                e3.append(loser)
-                x3 += int(b[loser])
-    e3 = np.array(e3, dtype=np.int64)
+    pair_ws = w_all[fcount[f_cols] == 2]
+    ws = pair_ws[np.argsort(f_cols[pair_ws - t], kind="stable")]
+    w_a, w_b = ws[0::2], ws[1::2]
+    b_a, b_b = b[w_a], b[w_b]
+    a_loses = (b_a < b_b) | ((b_a == b_b)
+                             & (f_edge_ids[w_a - t] <= f_edge_ids[w_b - t]))
+    e3 = np.where(a_loses, w_a, w_b)
+    x3 = int(b[e3].sum())
 
     # propagate deletions down the forest, then drop trees rooted off the kept core
     cut = np.zeros(m, dtype=bool)
     cut[e1] = True
     cut[e2] = True
-    if e3.size:
-        cut[e3] = True
+    cut[e3] = True
     depth = forest_depths(f)
     order = np.argsort(depth, kind="stable")
     removed = np.zeros(m, dtype=bool)
@@ -281,23 +272,22 @@ def supercritical_rainbow_tree(g: ColouredGraph):
         removed[vs] = removed[pv] | cut[vs]
         root_of[vs] = root_of[pv]
 
-    root_in_hat = hat_mask[labels[np.arange(t)]]
     tree_sizes = np.bincount(root_of, minlength=m)[:t]
     x4 = int(tree_sizes[~root_in_hat].sum())
 
     keep_w = w_all[(~removed[w_all]) & root_in_hat[root_of[w_all]]]
     kept_forest_edges = f_edge_ids[keep_w - t]
 
-    hat_tree = _spanning_edges(g, hat_edge_ids,
-                               keep_vertices=set(hat_vertices.tolist()))
+    hat_tree = _spanning_edges(g, hat_edge_ids)
     out = np.concatenate([hat_tree, np.sort(kept_forest_edges)])
 
-    kept_vertex_count = int(hat_vertices.size + keep_w.size)
+    hat_order = int(root_in_hat.sum())
+    kept_vertex_count = hat_order + int(keep_w.size)
     report = PipelineReport(
         core_order=int(decomp.core_vertices.size),
         core_size=int(core_edges.size),
         non_unique_core_edges=int(r_edges.size),
-        hat_core_order=int(hat_vertices.size),
+        hat_core_order=hat_order,
         colour_set_size=int(z_cols.size),
         deleted_shared_colour=x1,
         deleted_high_frequency=x2,

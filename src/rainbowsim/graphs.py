@@ -162,9 +162,8 @@ class VertexPartition:
 
     def largest_id(self) -> int:
         """Id of the largest component; ties go to the smallest id."""
-        ids, counts = np.unique(self.labels, return_counts=True)
-        best = counts.max()
-        return int(ids[counts == best].min())
+        # labels are vertex ids, and argmax takes the first maximum
+        return int(np.bincount(self.labels).argmax())
 
     def largest_vertices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == self.largest_id())
@@ -368,6 +367,12 @@ class CoreDecomposition:
 def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecomposition:
     """Split the induced subgraph on giant+unicyclic into 2-core and rooted forest.
 
+    ``giant`` and ``unicyclic`` must each be a union of whole components of
+    g. Then no edge of g leaves S = giant + unicyclic, so the 2-core of the
+    subgraph induced on S is g's 2-core restricted to S: the peel and the
+    search below run on that subgraph alone, in ids 0..|S|-1 that keep the
+    global order.
+
     Raises EmptyCoreError when the restricted 2-core has no vertices, or
     when none of them is in the giant (a giant tree cannot hang off the
     cores of the unicyclic components).
@@ -379,66 +384,56 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     in_s = np.zeros(g.n, dtype=bool)
     in_s[giant] = True
     in_s[unicyclic] = True
-
-    vmask, emask = _peel_masks(g)
-    core_v_mask = vmask & in_s
-    core_verts = np.flatnonzero(core_v_mask)
-    if core_verts.size == 0:
-        raise EmptyCoreError("2-core of the giant+unicyclic region is empty")
-    if not core_v_mask[giant].any():
-        raise EmptyCoreError("2-core of the giant is empty")
-
-    s_edge = in_s[g.u] & in_s[g.v]
-    core_edge_mask = emask & s_edge
-    core_edges = np.flatnonzero(core_edge_mask)
-    forest_edge_mask = s_edge & ~core_edge_mask
-    forest_edges = np.flatnonzero(forest_edge_mask)
-
     s_verts = np.flatnonzero(in_s)
-    t = core_verts.size
+    s_edges = np.flatnonzero(in_s[g.u] & in_s[g.v])
     m = s_verts.size
-    non_core = s_verts[~core_v_mask[s_verts]]
-
     local = np.full(g.n, -1, dtype=np.int64)
-    local[core_verts] = np.arange(t, dtype=np.int64)
-    local[non_core] = t + np.arange(non_core.size, dtype=np.int64)
-    labels = np.concatenate([core_verts, non_core])
+    local[s_verts] = np.arange(m, dtype=np.int64)
+    su, sv = local[g.u[s_edges]], local[g.v[s_edges]]
+    region = ColouredGraph._trusted(m, g.c, su, sv, g.colour[s_edges],
+                                    g.multigraph)
 
-    # BFS over forest edges from a virtual source n adjacent to every core
+    vmask, emask = _peel_masks(region)
+    core = np.flatnonzero(vmask)
+    t = core.size
+    if t == 0:
+        raise EmptyCoreError("2-core of the giant+unicyclic region is empty")
+    if not vmask[local[giant]].any():
+        raise EmptyCoreError("2-core of the giant is empty")
+    fu, fv = su[~emask], sv[~emask]
+
+    # BFS over forest edges from a virtual source m adjacent to every core
     # vertex. Each forest tree meets the core in exactly one vertex (a forest
     # path between two core vertices would itself survive the peel), so the
     # parent pointers do not depend on the order of the search.
-    fu = g.u[forest_edges]
-    fv = g.v[forest_edges]
-    rows = np.concatenate([fu, fv, np.full(t, g.n, dtype=np.int64)])
-    cols = np.concatenate([fv, fu, core_verts])
+    rows = np.concatenate([fu, fv, np.full(t, m, dtype=np.int64)])
+    cols = np.concatenate([fv, fu, core])
     graph = coo_matrix((np.ones(rows.size), (rows, cols)),
-                       shape=(g.n + 1, g.n + 1)).tocsr()
-    order, pred = breadth_first_order(graph, g.n, directed=True,
+                       shape=(m + 1, m + 1)).tocsr()
+    order, pred = breadth_first_order(graph, m, directed=True,
                                       return_predecessors=True)
     if order.size - 1 != m:
         raise ValueError("giant/unicyclic region is not fully attached to the core")
 
-    # order lists n, then the core, then the forest vertices; scipy returns
-    # int32 arrays: widen before forming n-scaled keys
-    ys = order[1 + t:].astype(np.int64)
-    xs = pred[ys].astype(np.int64)
+    # forest ids: the core first, then the other vertices, each in global order
+    non_core = np.flatnonzero(~vmask)
+    to_forest = np.empty(m, dtype=np.int64)
+    to_forest[core] = np.arange(t, dtype=np.int64)
+    to_forest[non_core] = np.arange(t, m, dtype=np.int64)
+    pred = pred.astype(np.int64)
     parent = np.full(m, -1, dtype=np.int64)
-    parent[local[ys]] = local[xs]
-    # forest edges are simple (parallel edges and loops lie in the 2-core),
-    # so an edge is identified by its sorted endpoints
-    keys = np.minimum(fu, fv) * g.n + np.maximum(fu, fv)
-    by_key = np.argsort(keys)
-    hit = np.searchsorted(keys, np.minimum(xs, ys) * g.n + np.maximum(xs, ys),
-                          sorter=by_key)
+    parent[to_forest[non_core]] = to_forest[pred[non_core]]
+    # every forest edge is the parent edge of exactly one of its ends (a
+    # core end's predecessor is the source)
+    child = np.where(pred[fu] == fv, fu, fv)
     edge_ids = np.full(m, -1, dtype=np.int64)
-    edge_ids[local[ys]] = forest_edges[by_key[hit]]
+    edge_ids[to_forest[child]] = s_edges[~emask]
 
     forest = RootedForest(m=m, t=t, parent=parent)
-    return CoreDecomposition(core_vertices=core_verts,
-                             core_edges=core_edges,
+    return CoreDecomposition(core_vertices=s_verts[core],
+                             core_edges=s_edges[emask],
                              forest=forest,
-                             forest_labels=labels,
+                             forest_labels=s_verts[np.concatenate([core, non_core])],
                              forest_edge_ids=edge_ids,
                              unicyclic_vertices=unicyclic)
 
@@ -446,12 +441,19 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
 # ---------------------------------------------------------------------------
 # text formats
 
+_WRITE_CHUNK = 1 << 16
+
+
 def write_edgelist(g: ColouredGraph, path) -> None:
     """Write the `n c` header plus one `u v colour` line per edge."""
+    rows = np.column_stack([g.u, g.v, g.colour])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{g.n} {g.c}\n")
-        for a, b, col in zip(g.u.tolist(), g.v.tolist(), g.colour.tolist()):
-            fh.write(f"{a} {b} {col}\n")
+        # one %-format per chunk of edges: no per-edge Python call, and the
+        # tuple of formatted ints stays bounded on large graphs
+        for start in range(0, g.m, _WRITE_CHUNK):
+            part = rows[start:start + _WRITE_CHUNK]
+            fh.write("%d %d %d\n" * len(part) % tuple(part.ravel().tolist()))
 
 
 def read_edgelist(path) -> ColouredGraph:

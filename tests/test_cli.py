@@ -161,6 +161,13 @@ def test_find_super_on_tree_exits_2(tmp_path):
     assert code == 2
 
 
+def test_find_super_without_vertices_exits_2(capsys):
+    code, _ = run_cli(["find", "--finder", "super", "--n", "0", "--c", "3",
+                       "--p", "0.5"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _assert_one_line_usage_error(code, capsys, *fragments):
     assert code == 64
     err = capsys.readouterr().err

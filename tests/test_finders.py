@@ -13,7 +13,8 @@ from rainbowsim.finders import (ExplorationTrace, InvalidDeltaError,
                                 rdfs_longest_path, sprinkle_close_cycle,
                                 subcritical_rainbow_tree,
                                 supercritical_rainbow_tree, _assert_rainbow_tree,
-                                _Fenwick, _path_colours, _require_coloured)
+                                _Fenwick, _path_colours, _require_coloured,
+                                _spanning_edges)
 from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
                                connected_components, is_rainbow)
 from rainbowsim.models import (RngStream, as_generator, colour_uniform,
@@ -192,6 +193,29 @@ def test_supercritical_double_colour_keeps_bigger_branch():
     assert 6 not in ids               # smaller branch deleted
     assert report.deleted_double_colour == 1
     assert report.final_tree_order == 6
+
+
+@pytest.mark.parametrize("pendants, deleted", [
+    # colour 9 on two one-vertex branches: equal bridge numbers, so the
+    # branch whose edge has the smaller id goes
+    ([(0, 4, 9), (1, 5, 9)], 4),
+    # the lower id hangs the higher-numbered vertex
+    ([(0, 5, 9), (3, 4, 9)], 4),
+    ([(3, 4, 9), (0, 5, 9)], 4),
+])
+def test_supercritical_double_colour_tie_goes_to_lower_edge_id(pendants,
+                                                               deleted):
+    edges = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4)] + pendants
+    g = ColouredGraph.from_edges(6, edges, c=9)
+    tree, report = supercritical_rainbow_tree(g)
+    assert set(tree.tolist()) == {0, 1, 2, 4, 5} - {deleted}
+    assert report.deleted_double_colour == 1
+    assert report.final_tree_order == 5
+
+
+def test_supercritical_without_vertices_raises_empty_core():
+    with pytest.raises(EmptyCoreError):
+        supercritical_rainbow_tree(ColouredGraph.from_edges(0, [], c=1))
 
 
 def test_supercritical_high_frequency_colour_deletes_all():
@@ -678,6 +702,69 @@ def coloured_multigraphs(draw):
     return ColouredGraph.from_edges(n, [(a, b, col) for (a, b), col
                                         in zip(pairs, cols)],
                                     c=c, multigraph=multigraph)
+
+
+def reference_spanning_edges(g: ColouredGraph, edge_ids, keep_vertices=None):
+    """_spanning_edges before the minimum spanning tree: a union-find over
+    the ids in ascending order, kept verbatim."""
+    ids = np.asarray(edge_ids, dtype=np.int64)
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(x, x) != x:
+            parent[x], x = root, parent[x]
+        return root
+
+    chosen = []
+    for e in np.sort(ids).tolist():
+        a, b = int(g.u[e]), int(g.v[e])
+        if keep_vertices is not None and (a not in keep_vertices or b not in keep_vertices):
+            continue
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append(e)
+    return np.array(chosen, dtype=np.int64)
+
+
+@st.composite
+def edge_subsets(draw):
+    """A coloured (multi)graph, some of its edge ids in any order, and an
+    optional set of vertices to keep."""
+    g = draw(coloured_multigraphs())
+    ids = draw(st.permutations(range(g.m)))
+    ids = ids[:draw(st.integers(0, g.m))]
+    keep = None
+    if g.n and draw(st.booleans()):
+        keep = draw(st.sets(st.integers(0, g.n - 1)))
+    return g, ids, keep
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_subsets())
+def test_spanning_edges_match_union_find(case):
+    g, ids, keep = case
+    want = reference_spanning_edges(g, ids, keep_vertices=keep)
+    ids = np.array(ids, dtype=np.int64)
+    if keep is not None:
+        inside = np.zeros(g.n, dtype=bool)
+        inside[list(keep)] = True
+        ids = ids[inside[g.u[ids]] & inside[g.v[ids]]]
+    got = _spanning_edges(g, ids)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+def test_spanning_edges_parallel_pair_keeps_lower_id():
+    # 0-1 twice (ids 1 and 3), loop at 2 (id 0), 1-2 (id 2)
+    g = ColouredGraph.from_edges(3, [(2, 2, 1), (1, 0, 2), (2, 1, 3), (0, 1, 4)],
+                                 c=4, multigraph=True)
+    assert _spanning_edges(g, [3, 2, 1, 0]).tolist() == [1, 2]
+    assert _spanning_edges(g, [3, 0]).tolist() == [3]
+    assert _spanning_edges(g, []).tolist() == []
 
 
 def trace_fields(trace):

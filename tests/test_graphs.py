@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowsim import graphs as graphs_module
 from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
                                EmptyCoreError, RootedForest, _peel_masks,
                                adjacency, bridge_number, connected_components,
@@ -302,6 +303,52 @@ def test_components_relabelling_invariant():
     assert a.tolist() == b.tolist()
 
 
+@st.composite
+def sparse_multigraphs(draw):
+    """Multigraphs with loops, parallel edges and isolated vertices, sparse
+    enough to fall into many components."""
+    n = draw(st.integers(0, 40))
+    edges = []
+    if n:
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    return ColouredGraph.from_edges(n, [(a, b, 0) for a, b in edges],
+                                    multigraph=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_multigraphs())
+def test_components_match_networkx(g):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(zip(g.u.tolist(), g.v.tolist()))
+    comps = list(nx.connected_components(h))
+    want = np.empty(g.n, dtype=np.int64)
+    for comp in comps:
+        want[list(comp)] = min(comp)
+    part = connected_components(g)
+    assert part.labels.tolist() == want.tolist()
+    assert part.sizes_desc.tolist() == sorted((len(c) for c in comps),
+                                              reverse=True)
+    if g.n:
+        biggest = max(len(c) for c in comps)
+        assert part.largest_id() == min(min(c) for c in comps
+                                        if len(c) == biggest)
+
+
+@pytest.mark.parametrize("n, edges, want", [
+    (4, [], 0),                                         # all singletons
+    (6, [(3, 4), (4, 5), (0, 1), (1, 2)], 0),           # tie, listed last
+    # tie between {4, 5, 6} and {1, 2, 3}, with a parallel pair and a loop
+    (7, [(5, 6), (6, 4), (4, 5), (2, 3), (3, 2), (1, 3), (1, 1)], 1),
+    (5, [(0, 1), (2, 3), (3, 4)], 2),                   # larger one wins
+])
+def test_largest_id_ties_go_to_smallest_id(n, edges, want):
+    g = ColouredGraph.from_edges(n, [(a, b, 0) for a, b in edges],
+                                 multigraph=True)
+    assert connected_components(g).largest_id() == want
+
+
 # ---------------------------------------------------------------------------
 # 2-core
 
@@ -403,6 +450,31 @@ def test_decomposition_empty_core_raises():
                                   np.array([], dtype=np.int64))
 
 
+def test_decomposition_keeps_other_cores_out():
+    # giant: K4 on 0..3 with the path 3-4-5; a bowtie on 6..10 (two
+    # triangles, six edges on five vertices: neither giant nor unicyclic);
+    # unicyclic: triangle 11-12-13 with pendant 14
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = k4 + [(3, 4), (4, 5),
+                  (6, 7), (7, 8), (8, 6), (8, 9), (9, 10), (10, 8),
+                  (11, 12), (12, 13), (13, 11), (13, 14)]
+    g = ColouredGraph.from_edges(15, [(a, b, i + 1) for i, (a, b)
+                                      in enumerate(edges)], c=len(edges))
+    part = connected_components(g)
+    giant = part.largest_vertices()
+    uni = _unicyclic_vertices(g, part)
+    assert giant.tolist() == list(range(6))
+    assert uni.tolist() == [11, 12, 13, 14]
+    dec = core_forest_decomposition(g, giant, uni)
+    assert dec.core_vertices.tolist() == [0, 1, 2, 3, 11, 12, 13]
+    assert dec.core_edges.tolist() == [0, 1, 2, 3, 4, 5, 14, 15, 16]
+    assert dec.forest_labels.tolist() == [0, 1, 2, 3, 11, 12, 13, 4, 5, 14]
+    assert dec.forest.parent.tolist() == [-1] * 7 + [3, 7, 6]
+    assert dec.forest_edge_ids.tolist() == [-1] * 7 + [6, 7, 17]
+    # the bowtie's own 2-core is all of it
+    assert two_core(g).m == 15
+
+
 def _unicyclic_vertices(g, part):
     giant_id = part.largest_id()
     ids, vcounts = np.unique(part.labels, return_counts=True)
@@ -445,10 +517,11 @@ def test_decomposition_invariants_on_samples():
 
 
 def deque_bfs_decomposition(g, giant, unicyclic):
-    """Reference forest of core_forest_decomposition: the deque BFS it used
-    before scipy's breadth_first_order.
+    """Reference of core_forest_decomposition: the deque BFS it used before
+    scipy's breadth_first_order, after a peel of the whole graph.
 
-    Returns (parent, forest_edge_ids, forest_labels).
+    Returns (parent, forest_edge_ids, forest_labels, core_vertices,
+    core_edges).
     """
     in_s = np.zeros(g.n, dtype=bool)
     in_s[giant] = True
@@ -459,6 +532,7 @@ def deque_bfs_decomposition(g, giant, unicyclic):
     if core_verts.size == 0 or not core_v_mask[giant].any():
         raise EmptyCoreError("empty core")
     s_edge = in_s[g.u] & in_s[g.v]
+    core_edges = np.flatnonzero(emask & s_edge)
     forest_edges = np.flatnonzero(s_edge & ~(emask & s_edge))
     s_verts = np.flatnonzero(in_s)
     t, m = core_verts.size, s_verts.size
@@ -485,7 +559,7 @@ def deque_bfs_decomposition(g, giant, unicyclic):
                 edge_ids[local[y]] = forest_edges[eid[p]]
                 queue.append(y)
     assert seen[s_verts].all()
-    return parent, edge_ids, labels
+    return parent, edge_ids, labels, core_verts, core_edges
 
 
 @settings(max_examples=200, deadline=None)
@@ -510,7 +584,8 @@ def test_decomposition_matches_deque_bfs(seed, n, d, configuration):
             core_forest_decomposition(g, giant, uni)
         return
     dec = core_forest_decomposition(g, giant, uni)
-    got = (dec.forest.parent, dec.forest_edge_ids, dec.forest_labels)
+    got = (dec.forest.parent, dec.forest_edge_ids, dec.forest_labels,
+           dec.core_vertices, dec.core_edges)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
@@ -656,6 +731,40 @@ def test_edgelist_roundtrip_bytes(tmp_path):
     write_edgelist(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert g2.n == g.n and g2.c == g.c and g2.edge_list() == g.edge_list()
+
+
+def reference_write_edgelist(g, path):
+    """write_edgelist as it was before the chunked %-format: one f-string
+    per edge."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{g.n} {g.c}\n")
+        for a, b, col in zip(g.u.tolist(), g.v.tolist(), g.colour.tolist()):
+            fh.write(f"{a} {b} {col}\n")
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+def test_write_edgelist_matches_reference_bytes(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(graphs_module, "_WRITE_CHUNK", chunk)
+    cases = [
+        ColouredGraph.from_edges(0, [], c=0),
+        ColouredGraph.from_edges(0, [], c=7),
+        ColouredGraph.from_edges(3, [], c=2),
+        ColouredGraph.from_edges(2, [(0, 1, 1), (1, 0, 2), (0, 0, 3)],
+                                 c=3, multigraph=True),
+        ColouredGraph.from_edges(2 ** 40, [(2 ** 40 - 1, 0, 10 ** 15)],
+                                 c=10 ** 15),
+        colour_uniform(sample_gnp(200, 0.05, RngStream(8)), 30, RngStream(9)),
+    ]
+    if chunk == 1 << 16:
+        # more than two chunks, the last one partial
+        cases.append(colour_uniform(sample_gnp(520, 0.99, RngStream(10)),
+                                    10 ** 6, RngStream(11)))
+        assert cases[-1].m > 2 * chunk
+    for i, g in enumerate(cases):
+        got, want = tmp_path / f"got{i}.edges", tmp_path / f"want{i}.edges"
+        write_edgelist(g, got)
+        reference_write_edgelist(g, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_edgelist_multigraph_detection(tmp_path):
