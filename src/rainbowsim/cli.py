@@ -3,8 +3,10 @@ drive the experiment suites.
 
 Exit codes: 0 on success, 2 when a finder reports a structural miss
 (empty core, no qualifying sprinkle edge) or an envelope check fails,
-64 on usage errors. Every command echoes its fully resolved configuration,
-and rerunning with identical flags reproduces output files byte for byte.
+64 on usage errors: bad flags, parameters a sampler, finder or suite
+refuses, unreadable input or unwritable output. Every command echoes its
+fully resolved configuration, and rerunning with identical flags
+reproduces output files byte for byte.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from .finders import (EmptyCoreError, NotFoundError, find_rainbow_cycle_weakly_s
                       supercritical_rainbow_tree)
 from .graphs import (connected_components, forest_to_line, read_edgelist,
                      write_edgelist)
-from .models import (DegreeSequence, InvalidRootCountError, RngStream,
-                     colour_uniform, sample_configuration, sample_gnp,
-                     sample_uniform_forest)
+from .models import (DegreeSequence, RngStream, colour_uniform,
+                     sample_configuration, sample_gnp, sample_uniform_forest)
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 2
@@ -105,10 +106,7 @@ def cmd_gen(args) -> int:
             _usage_error("gen --model forest requires --m and --t")
         _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
                "seed": seed, "out": args.out})
-        try:
-            f = sample_uniform_forest(args.m, args.t, rng)
-        except InvalidRootCountError as exc:
-            _usage_error(f"gen --model forest: {exc}")
+        f = sample_uniform_forest(args.m, args.t, rng)
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(forest_to_line(f) + "\n")
         print(f"m={f.m} t={f.t} edges={f.m - f.t}")
@@ -251,21 +249,21 @@ def _run_suite(name, reps, seed, threads, n_override=None):
         rows, checks = exps.exp_min_double_bridge((10, 100, 1000), reps, seed)
         params = (("t_grid", "10/100/1000"), ("m_factor", 100))
     elif name == "borel":
-        m = n_override or 10 ** 5
+        m = n_override if n_override is not None else 10 ** 5
         rows, checks = exps.exp_tree_size_law(m, max(m // 100, 2), reps, seed)
         params = (("m", m), ("t", max(m // 100, 2)))
     elif name == "phase":
-        n = n_override or 10 ** 6
+        n = n_override if n_override is not None else 10 ** 6
         rows, checks = exps.exp_phase_transition(n, n, (-0.05, 0.05), reps,
                                                  seed, threads=threads)
         params = (("n", n), ("c", n), ("eps_grid", "-0.05/0.05"))
     elif name == "giant":
-        n = n_override or 10 ** 5
+        n = n_override if n_override is not None else 10 ** 5
         rows, checks = exps.exp_giant_benchmark(n, 2.0, reps, seed,
                                                 threads=threads)
         params = (("n", n), ("d", 2.0))
     elif name == "cycle":
-        n = n_override or 10 ** 5
+        n = n_override if n_override is not None else 10 ** 5
         rows, checks = exps.exp_cycle(n, n, 129.0, 0.5, reps, seed,
                                       threads=threads)
         params = (("n", n), ("c", n), ("d", 129.0), ("delta", 0.5))
@@ -336,7 +334,7 @@ def build_parser() -> _Parser:
                       help="colour ratio c/n (rbfs)")
     find.add_argument("--mode", choices=("faithful", "greedy"),
                       default="greedy", help="exploration mode")
-    find.add_argument("--budget", type=int, default=None,
+    find.add_argument("--budget", type=_int_at_least(0), default=None,
                       help="query budget override (rdfs faithful)")
     find.add_argument("--out", default=None, help="write the JSON record here")
     find.set_defaults(func=cmd_find)
@@ -354,7 +352,7 @@ def build_parser() -> _Parser:
                      help="also write per-run JSON next to the CSV")
     exp.add_argument("--threads", type=int, default=1,
                      help="worker processes for repetitions")
-    exp.add_argument("--n", type=int, default=None,
+    exp.add_argument("--n", type=_int_at_least(1), default=None,
                      help="override the suite's default problem size")
     exp.set_defaults(func=cmd_experiment)
     return parser
@@ -363,7 +361,12 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the package's parameter errors all subclass ValueError; hard asserts
+    # (AssertionError) are never caught
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        _usage_error(str(exc))
 
 
 if __name__ == "__main__":

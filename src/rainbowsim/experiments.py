@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
-from .finders import (NotFoundError, close_cycle_edges, check_cycle,
-                      rdfs_longest_path, sprinkle_close_cycle,
+from .finders import (NotFoundError, _sprinkle_round, rdfs_longest_path,
                       subcritical_rainbow_tree, supercritical_rainbow_tree)
 from .graphs import (EmptyCoreError, children_index, connected_components,
                      subtree_size_below)
@@ -373,15 +372,8 @@ def _rep_cycle(args):
     # the path stage simply runs until it reaches its target
     trace = rdfs_longest_path(g1, mode="faithful", delta=delta / 2.0,
                               query_budget=n * min(n, c))
-    p = d / n
-    p2 = 1.0 - (1.0 - p) / (1.0 - p1)
-    g2 = colour_uniform(sample_gnp(n, p2, gen), c, gen)
-    g2_edges = list(zip(g2.u.tolist(), g2.v.tolist(), g2.colour.tolist()))
     try:
-        edge = sprinkle_close_cycle(g1, trace.path, g2_edges, delta)
-        cycle = close_cycle_edges(g1, trace.path, edge)
-        check_cycle(cycle)
-        return len(cycle)
+        return len(_sprinkle_round(g1, trace.path, p1, d / n, delta, gen))
     except NotFoundError:
         return 0
 

@@ -357,11 +357,13 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     and its colour is absent from the current path. ``faithful`` stops at
     the query budget ceil(delta^2 r n / 8) (r = min(c, n)) or once the path
     has floor((1-delta) r) edges; ``greedy`` runs to exhaustion and reports
-    the longest path seen.
+    the longest path seen. A negative ``query_budget`` raises ValueError.
     """
     _require_coloured(g)
     if mode not in ("faithful", "greedy"):
         raise ValueError("mode must be 'faithful' or 'greedy'")
+    if query_budget is not None and query_budget < 0:
+        raise ValueError("query budget must be non-negative")
     n = g.n
     r = min(g.c, n)
     faithful = mode == "faithful"
@@ -378,17 +380,17 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
 
     indptr, nbr, eid = adjacency(g)
     iptr = indptr.tolist()
-    nbr_l = nbr.tolist()
-    eid_l = eid.tolist()
-    cols = g.colour.tolist()
+    # the search touches about half the half-edges, so it reads the CSR in
+    # place: a memoryview item is a Python int, with no list built
+    nbr_v = memoryview(nbr)
+    hcol = memoryview(g.colour[eid])    # colour of each half-edge
 
     state = bytearray(n)            # 0 unvisited, 1 active, 2 visited
     fen = _Fenwick(n)
     ucount = n
     stack: list[int] = []
     par_in = [-1] * n
-    col_in = [0] * n
-    edge_in = [-1] * n
+    pos_in = [-1] * n               # half-edge that discovered each vertex
     aptr = iptr[:-1].copy() if n else []
     cursor = [-1] * n
     lset: set[int] = set()
@@ -420,13 +422,13 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
         end = iptr[v + 1]
         found = -1
         while p < end:
-            u = nbr_l[p]
-            if state[u] == 0 and cols[eid_l[p]] not in lset:
+            u = nbr_v[p]
+            if state[u] == 0 and hcol[p] not in lset:
                 found = p
                 break
             p += 1
         if found >= 0:
-            u = nbr_l[found]
+            u = nbr_v[found]
             q = fen.rank(u) - fen.rank(cursor[v])
             if faithful and queries + q > budget:
                 queries = budget
@@ -439,11 +441,9 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             state[u] = 1
             fen.add(u, -1)
             ucount -= 1
-            colour = cols[eid_l[found]]
             par_in[u] = v
-            col_in[u] = colour
-            edge_in[u] = eid_l[found]
-            lset.add(colour)
+            pos_in[u] = found
+            lset.add(hcol[found])
             stack.append(u)
             if len(stack) > best_len:
                 best_len, best_top = len(stack), u
@@ -461,7 +461,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             stack.pop()
             state[v] = 2
             if par_in[v] >= 0:
-                lset.discard(col_in[v])
+                lset.discard(hcol[pos_in[v]])
 
     if stop == "target":
         path = stack[:]
@@ -472,7 +472,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             path.append(x)
             x = par_in[x]
         path.reverse()
-    path_edges = [edge_in[x] for x in path[1:]]
+    path_edges = eid[[pos_in[x] for x in path[1:]]].tolist()
     trace = ExplorationTrace(queries=queries, accepted=accepted,
                              stop_reason=stop, path=path, path_edges=path_edges)
     assert trace.accepted <= trace.queries
@@ -523,10 +523,11 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
         gen = None
 
     indptr, nbr, eid = adjacency(g)
+    # every half-edge is scanned, and a list item is faster to read than a
+    # memoryview one; trees hold half-edge positions until the end
     iptr = indptr.tolist()
     nbr_l = nbr.tolist()
-    eid_l = eid.tolist()
-    cols = g.colour.tolist()
+    hcol = g.colour[eid].tolist()   # colour of each half-edge
 
     und = bytearray([1]) * n
     # only the faithful pool cap needs rank and select over the undiscovered
@@ -537,19 +538,19 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     queries = 0
     accepted = 0
     total_forest = 0
-    cur_edges: list[int] = []
+    cur_pos: list[int] = []
     cur_size = 0
-    best_edges: list[int] = []
+    best_pos: list[int] = []
     best_size = 0
     root = 0                        # roots only grow: each is the least undiscovered id
     started = False
     stop = None
 
     def close_tree():
-        nonlocal best_edges, best_size
+        nonlocal best_pos, best_size
         if cur_size > best_size:
             best_size = cur_size
-            best_edges = cur_edges    # each tree starts a fresh list
+            best_pos = cur_pos    # each tree starts a fresh list
 
     while stop is None:
         if not queue:
@@ -567,7 +568,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                 fen.add(root, -1)
             ucount -= 1
             total_forest += 1
-            cur_edges = []
+            cur_pos = []
             cur_size = 1
             started = True
             queue.append(root)
@@ -583,7 +584,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             u = nbr_l[p]
             if u > thr or not und[u]:
                 continue
-            colour = cols[eid_l[p]]
+            colour = hcol[p]
             if colour in forest_cols:
                 continue
             if faithful:
@@ -599,7 +600,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                 fen.add(u, -1)
             ucount -= 1
             queue.append(u)
-            cur_edges.append(eid_l[p])
+            cur_pos.append(p)
             cur_size += 1
             total_forest += 1
             forest_cols.add(colour)
@@ -609,12 +610,13 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                 break
 
     close_tree()
+    tree_edges = eid[best_pos].tolist()
     trace = ExplorationTrace(queries=queries, accepted=accepted,
-                             stop_reason=stop, tree_edges=best_edges)
+                             stop_reason=stop, tree_edges=tree_edges)
     assert trace.accepted <= trace.queries
-    assert is_rainbow(g, best_edges), "RBFS tree is not rainbow"
-    if best_edges:
-        _assert_rainbow_tree(g, best_edges)
+    assert is_rainbow(g, tree_edges), "RBFS tree is not rainbow"
+    if tree_edges:
+        _assert_rainbow_tree(g, tree_edges)
     return trace
 
 
@@ -650,6 +652,14 @@ def _path_colours(g: ColouredGraph, path):
     return g.colour[eid].tolist()
 
 
+def _require_simple(g1: ColouredGraph) -> None:
+    # a path step names two vertices, not an edge: on a multigraph its
+    # colour would depend on which parallel edge the search walked
+    _require_coloured(g1)
+    if g1.multigraph:
+        raise ValueError("sprinkling needs a simple first-round graph")
+
+
 def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     """First fresh second-round edge joining the two endpoint windows of the path.
 
@@ -657,8 +667,10 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     (r = min(n, c)), clipped to half the path. Edges already present in g1
     are skipped, as are colours already used on the path. Returns the edge
     triple (u, v, colour); raises NotFoundError when nothing qualifies.
+    g1 must be simple (ValueError otherwise): the path's colours are read
+    from its steps.
     """
-    _require_coloured(g1)
+    _require_simple(g1)
     path = list(path)
     if len(path) < 2:
         raise NotFoundError("path too short to close")
@@ -688,7 +700,11 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
 
 
 def close_cycle_edges(g1: ColouredGraph, path, edge):
-    """Cycle (as coloured edge triples) from the path segment plus the edge."""
+    """Cycle (as coloured edge triples) from the path segment plus the edge.
+
+    g1 must be simple, as for sprinkle_close_cycle.
+    """
+    _require_simple(g1)
     a, b, colour = edge
     path = list(path)
     i, j = path.index(a), path.index(b)
@@ -713,6 +729,24 @@ def check_cycle(cycle_edges) -> None:
     assert len(deg) == len(cycle_edges), "cycle has wrong order"
 
 
+def _sprinkle_round(g1: ColouredGraph, path, p1: float, p: float,
+                    delta: float, gen):
+    """Close ``path`` (a rainbow path of g1 ~ G(n, p1)) by a second round.
+
+    Samples and colours g2 ~ G(n, p2) with (1-p1)(1-p2) = 1-p, so that g1
+    and g2 together are G(n, p); then sprinkles with window slack
+    ``delta``, closes and checks the cycle. Returns the cycle as coloured
+    edge triples; raises NotFoundError when no g2 edge closes it.
+    """
+    p2 = 1.0 - (1.0 - p) / (1.0 - p1)
+    g2 = colour_uniform(sample_gnp(g1.n, p2, gen), g1.c, gen)
+    g2_edges = list(zip(g2.u.tolist(), g2.v.tolist(), g2.colour.tolist()))
+    edge = sprinkle_close_cycle(g1, path, g2_edges, delta)
+    cycle = close_cycle_edges(g1, path, edge)
+    check_cycle(cycle)
+    return cycle
+
+
 def find_rainbow_cycle_weakly_super(n: int, c: int, epsilon: float, rng=None):
     """Rainbow cycle in the weakly supercritical regime, by RDFS plus sprinkling.
 
@@ -725,6 +759,8 @@ def find_rainbow_cycle_weakly_super(n: int, c: int, epsilon: float, rng=None):
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidEpsilonError("need 0 < epsilon < 1")
+    if n < 1:
+        raise InvalidEpsilonError("need n >= 1 to set p = (1+eps)/n")
     if (1.0 + 2.0 * epsilon) / n > 1.0:
         raise InvalidEpsilonError("p exceeds 1 at this (n, epsilon)")
     gen = as_generator(rng)
@@ -738,13 +774,7 @@ def find_rainbow_cycle_weakly_super(n: int, c: int, epsilon: float, rng=None):
     path = trace.path
     if len(path) < 3:
         raise NotFoundError("first-round rainbow path too short")
-    p = (1.0 + 2.0 * epsilon) / n
-    p2 = 1.0 - (1.0 - p) / (1.0 - p1)
-    g2 = colour_uniform(sample_gnp(n, p2, gen), c, gen)
-    g2_edges = list(zip(g2.u.tolist(), g2.v.tolist(), g2.colour.tolist()))
-    r = min(n, c)
-    delta_close = 2.0 * len(path) / r
-    edge = sprinkle_close_cycle(g1, path, g2_edges, delta_close)
-    cycle = close_cycle_edges(g1, path, edge)
-    check_cycle(cycle)
-    return cycle
+    delta_close = 2.0 * len(path) / min(n, c)
+    return _sprinkle_round(g1, path, p1, (1.0 + 2.0 * epsilon) / n,
+                           delta_close, gen)
+

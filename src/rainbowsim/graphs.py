@@ -130,17 +130,25 @@ def adjacency(g: ColouredGraph):
     """CSR-style adjacency with neighbours sorted ascending per vertex.
 
     Returns (indptr, nbr, eid): the neighbours of x are nbr[indptr[x]:indptr[x+1]]
-    and eid gives the index of the corresponding edge in g.
+    and eid gives the index of the corresponding edge in g. Parallel edges
+    keep their input order.
+
+    The sort kind follows ``g.multigraph``: a multigraph needs a stable
+    sort, while on a simple graph every key is unique and numpy's default
+    sort gives the same order faster. A graph flagged simple must be simple.
     """
     m = g.m
     ends = np.concatenate([g.u, g.v])
     other = np.concatenate([g.v, g.u])
-    eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2) if m else np.zeros(0, dtype=np.int64)
-    # a stable sort on one key orders by (end, neighbour, then input
-    # position), the order a lexsort on (other, ends) gives
-    order = np.argsort(ends * g.n + other, kind="stable")
+    # one key orders by (end, neighbour); the stable sort breaks the ties
+    # of parallel edges by input position, the order a lexsort on
+    # (other, ends) gives
+    order = np.argsort(ends * g.n + other,
+                       kind="stable" if g.multigraph else None)
     nbr = other[order]
-    eid = eid[order]
+    # half-edge k < m is edge k stored as (u, v), k >= m edge k - m as (v, u)
+    eid = order
+    eid[eid >= m] -= m
     counts = np.bincount(ends, minlength=g.n)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -255,6 +255,54 @@ def test_probability_outside_unit_interval_exits_64(tmp_path, capsys, command,
     assert not out.exists()
 
 
+_GNP = ["--n", "60", "--c", "60", "--d", "3"]
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["find", "--finder", "rdfs", "--mode", "faithful", "--budget", "-5"] + _GNP,
+     "argument --budget: must be at least 0, got -5"),
+    (["find", "--finder", "rdfs", "--mode", "faithful", "--delta", "1.5"] + _GNP,
+     "need 0 < delta < 1"),
+    (["find", "--finder", "rdfs", "--mode", "faithful", "--delta", "nan"] + _GNP,
+     "need 0 < delta < 1"),
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--delta", "0.9"] + _GNP,
+     "delta too large"),
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--alpha", "0"] + _GNP,
+     "need 0 < delta < min(1, alpha)"),
+    (["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "1.5"],
+     "need 0 < epsilon < 1"),
+    (["find", "--finder", "cycle", "--n", "0", "--c", "100", "--eps", "0.1"],
+     "need n >= 1"),
+    (["experiment", "--suite", "borel", "--n", "1", "--reps", "1"],
+     "need 1 <= t <= m"),
+    (["experiment", "--suite", "giant", "--n", "-5", "--reps", "1"],
+     "argument --n: must be at least 1, got -5"),
+    (["experiment", "--suite", "giant", "--n", "0", "--reps", "1"],
+     "argument --n: must be at least 1, got 0"),
+    (["experiment", "--suite", "cycle", "--n", "10", "--reps", "1"],
+     "d/n exceeds 1"),
+])
+def test_refused_parameters_exit_64(capsys, args, fragment):
+    code, _ = run_cli(args)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse refusals print the usage lines first
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and fragment in errors[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "10", "--c", "3", "--p", "0.3"],
+    ["find", "--finder", "sub", "--n", "10", "--c", "3", "--p", "0.3"],
+    ["experiment", "--suite", "borel", "--n", "1000", "--reps", "2"],
+])
+def test_unwritable_out_exits_64(tmp_path, capsys, args):
+    out = tmp_path / "missing" / "out.txt"
+    code, _ = run_cli(args + ["--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, "No such file", str(out))
+
+
 def test_find_unknown_flag_usage(tmp_path):
     code, _ = run_cli(["find", "--bogus"])
     assert code == 64

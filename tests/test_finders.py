@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter, deque
 
@@ -308,6 +309,13 @@ def test_rdfs_queries_bounded_by_pairs():
         trace = rdfs_longest_path(g, mode="greedy")
         assert trace.queries <= g.n * (g.n - 1) // 2
         assert trace.accepted <= trace.queries
+
+
+@pytest.mark.parametrize("mode", ["greedy", "faithful"])
+def test_rdfs_rejects_negative_budget(mode):
+    g = ColouredGraph.from_edges(2, [(0, 1, 1)], c=1)
+    with pytest.raises(ValueError, match="query budget"):
+        rdfs_longest_path(g, mode=mode, delta=0.5, query_budget=-5)
 
 
 def test_rdfs_respects_invalid_mode_and_delta():
@@ -682,11 +690,12 @@ def test_fenwick_all_ones_build_matches_reference():
 
 
 @st.composite
-def coloured_multigraphs(draw):
+def coloured_multigraphs(draw, multigraph=None):
     """Coloured graphs or multigraphs, with loops and isolated vertices."""
     n = draw(st.integers(0, 40))
     c = draw(st.integers(1, 60))
-    multigraph = draw(st.booleans())
+    if multigraph is None:
+        multigraph = draw(st.booleans())
     pairs = []
     if n:
         vertex = st.integers(0, n - 1)
@@ -811,6 +820,41 @@ def test_rdfs_matches_fenwick_reference(g, delta, budget, target):
                              target_order=target)
 
 
+@settings(max_examples=200, deadline=None)
+@given(coloured_multigraphs(multigraph=False),
+       st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+def test_explorer_edges_are_ints_carrying_the_path_colours(g, delta):
+    # the explorers map half-edge positions back to edge ids; on a simple
+    # graph a path step names its edge, so _path_colours is a reference
+    for kwargs in ({"mode": "greedy"}, {"mode": "faithful", "delta": delta}):
+        trace = rdfs_longest_path(g, **kwargs)
+        assert all(type(e) is int for e in trace.path_edges)
+        assert g.colour[trace.path_edges].tolist() == _path_colours(g, trace.path)
+        json.dumps(trace.path_edges)
+    trace = rbfs_forest(g, mode="greedy")
+    assert all(type(e) is int for e in trace.tree_edges)
+    json.dumps(trace.tree_edges)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_explorers_without_edges(n):
+    g = ColouredGraph.from_edges(n, [], c=3)
+    for kwargs in ({"mode": "greedy"}, {"mode": "faithful", "delta": 0.5}):
+        trace = rdfs_longest_path(g, **kwargs)
+        assert trace.path == [0][:n] and trace.path_edges == []
+        assert trace.accepted == 0
+    trace = rbfs_forest(g, mode="greedy")
+    assert trace.tree_edges == [] and trace.accepted == 0
+    assert trace.stop_reason == "exhausted"
+    if n:
+        trace = rbfs_forest(g, mode="faithful", delta=0.1, alpha=1.0, eps=0.1)
+        assert trace.tree_edges == [] and trace.accepted == 0
+    else:
+        # the pool cap (1 - delta) n holds no vertex
+        with pytest.raises(InvalidDeltaError):
+            rbfs_forest(g, mode="faithful", delta=0.1, alpha=1.0, eps=0.1)
+
+
 def test_rbfs_faithful_pool_cap_moves_and_target_stops():
     # n = 50, delta = 0.2: the pool holds the 40 least undiscovered ids, so
     # the cap starts at id 40 and rises as low ids are discovered
@@ -875,6 +919,20 @@ def test_sprinkle_skips_used_colours_and_existing_edges():
     edge = sprinkle_close_cycle(g1, path, [(0, 10, 5), (0, 1, 99), (1, 10, 42)],
                                 delta=1.0)
     assert edge == (1, 10, 42)
+
+
+def test_sprinkle_refuses_multigraphs():
+    # two parallel 2-1 edges: the path [0, 2, 1] walks the one of colour 2,
+    # but a step (2, 1) alone cannot say which edge it was
+    g = ColouredGraph.from_edges(3, [(0, 2, 1), (2, 1, 1), (2, 1, 2)], c=3,
+                                 multigraph=True)
+    trace = rdfs_longest_path(g, mode="greedy")
+    assert trace.path == [0, 2, 1]
+    assert g.colour[trace.path_edges].tolist() == [1, 2]
+    with pytest.raises(ValueError, match="simple"):
+        sprinkle_close_cycle(g, trace.path, [(0, 1, 3)], delta=1.0)
+    with pytest.raises(ValueError, match="simple"):
+        close_cycle_edges(g, trace.path, (0, 1, 3))
 
 
 def sorted_lookup_colours(g, path):
