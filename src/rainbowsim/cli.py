@@ -67,7 +67,7 @@ def _resolve_p(args) -> float:
     return p
 
 
-def _add_generator_flags(sub, require_c=True):
+def _add_generator_flags(sub):
     sub.add_argument("--n", type=_int_at_least(0), default=None,
                      help="vertex count")
     group = sub.add_mutually_exclusive_group()
@@ -99,13 +99,12 @@ def _echo(config: dict) -> None:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = RngStream(seed, 0).generator()
+    rng = RngStream(args.seed, 0).generator()
     if args.model == "forest":
         if args.m is None or args.t is None:
             _usage_error("gen --model forest requires --m and --t")
         _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
-               "seed": seed, "out": args.out})
+               "seed": args.seed, "out": args.out})
         f = sample_uniform_forest(args.m, args.t, rng)
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(forest_to_line(f) + "\n")
@@ -120,7 +119,7 @@ def cmd_gen(args) -> int:
         except (ValueError, OverflowError) as exc:
             _usage_error(f"--degrees {args.degrees!r}: {exc}")
         _echo({"command": "gen", "model": "config", "degrees": degs,
-               "c": args.c, "seed": seed, "out": args.out})
+               "c": args.c, "seed": args.seed, "out": args.out})
         g = sample_configuration(seq, rng)
         if args.c and args.c >= 1:
             g = colour_uniform(g, args.c, rng)
@@ -132,7 +131,7 @@ def cmd_gen(args) -> int:
         _usage_error("gen requires --n, --c and one of --p/--eps/--d")
     p = _resolve_p(args)
     config = {"command": "gen", "n": args.n, "p": p, "c": args.c,
-              "seed": seed, "out": args.out}
+              "seed": args.seed, "out": args.out}
     _echo(config)
     g = sample_gnp(args.n, p, rng)
     if args.c >= 1:
@@ -154,15 +153,13 @@ def _load_or_generate(args):
         return g
     if args.n is None or args.c is None:
         _usage_error("find requires --input or generator flags")
-    seed = args.seed if args.seed is not None else _default_seed()
-    gen = RngStream(seed, 0).generator()
+    gen = RngStream(args.seed, 0).generator()
     g = sample_gnp(args.n, _resolve_p(args), gen)
     return colour_uniform(g, args.c, gen)
 
 
 def cmd_find(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = {"command": "find", "finder": args.finder, "seed": seed,
+    config = {"command": "find", "finder": args.finder, "seed": args.seed,
               "input": args.input, "n": args.n, "c": args.c,
               "delta": args.delta, "alpha": args.alpha, "eps": args.eps,
               "mode": args.mode, "budget": args.budget}
@@ -170,7 +167,7 @@ def cmd_find(args) -> int:
     if args.c is not None and args.c < 1:
         _usage_error("find needs --c of at least 1")
     t0 = time.perf_counter()
-    record = {"finder": args.finder, "seed": seed,
+    record = {"finder": args.finder, "seed": args.seed,
               "params": {k: v for k, v in config.items()
                          if k not in ("command",) and v is not None}}
     try:
@@ -178,18 +175,15 @@ def cmd_find(args) -> int:
             if args.n is None or args.c is None or args.eps is None:
                 _usage_error("cycle finder needs --n, --c, --eps")
             cycle = find_rainbow_cycle_weakly_super(args.n, args.c, args.eps,
-                                                    RngStream(seed, 0))
+                                                    RngStream(args.seed, 0))
             record["length"] = len(cycle)
             record["edges"] = [list(e) for e in cycle]
         else:
             g = _load_or_generate(args)
             if args.finder == "sub":
+                # the finder asserts a tree; an empty one is a single vertex
                 tree = subcritical_rainbow_tree(g)
-                verts = set()
-                for e in tree.tolist():
-                    verts.add(int(g.u[e]))
-                    verts.add(int(g.v[e]))
-                record["order"] = max(len(verts), 1 if g.n else 0)
+                record["order"] = tree.size + 1 if g.n else 0
                 record["edges"] = sorted(int(e) for e in tree)
             elif args.finder == "super":
                 tree, report = supercritical_rainbow_tree(g)
@@ -207,7 +201,7 @@ def cmd_find(args) -> int:
             elif args.finder == "rbfs":
                 trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
                                     mode=args.mode, eps=args.eps,
-                                    rng=RngStream(seed, 1))
+                                    rng=RngStream(args.seed, 1))
                 record["order"] = trace.order
                 record["queries"] = trace.queries
                 record["accepted"] = trace.accepted
@@ -233,6 +227,8 @@ def cmd_find(args) -> int:
 
 _SUITES = ("min-split", "bridge", "double-bridge", "borel", "phase", "giant",
            "cycle", "all")
+# suites with a fixed problem grid, which --n does not size
+_UNSIZED_SUITES = ("min-split", "bridge", "double-bridge")
 
 
 def _run_suite(name, reps, seed, threads, n_override=None):
@@ -277,13 +273,14 @@ def cmd_experiment(args) -> int:
     if args.suite not in _SUITES:
         _usage_error(f"unknown suite {args.suite!r}; "
                      f"choose from {', '.join(_SUITES)}")
-    seed = args.seed if args.seed is not None else _default_seed()
+    if args.n is not None and args.suite in _UNSIZED_SUITES:
+        _usage_error(f"--n does not apply to suite {args.suite!r}")
     names = [s for s in _SUITES[:-1]] if args.suite == "all" else [args.suite]
     all_ok = True
     outputs = []
     for name in names:
-        config, rows, checks = _run_suite(name, args.reps, seed, args.threads,
-                                          n_override=args.n)
+        config, rows, checks = _run_suite(name, args.reps, args.seed,
+                                          args.threads, n_override=args.n)
         _echo(config.as_dict())
         outputs.append((config, rows, checks))
         for chk in checks:
@@ -353,7 +350,8 @@ def build_parser() -> _Parser:
     exp.add_argument("--threads", type=int, default=1,
                      help="worker processes for repetitions")
     exp.add_argument("--n", type=_int_at_least(1), default=None,
-                     help="override the suite's default problem size")
+                     help="problem size of the borel, phase, giant and "
+                          "cycle suites")
     exp.set_defaults(func=cmd_experiment)
     return parser
 
@@ -364,6 +362,8 @@ def main(argv=None) -> int:
     # the package's parameter errors all subclass ValueError; hard asserts
     # (AssertionError) are never caught
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError) as exc:
         _usage_error(str(exc))

@@ -2,9 +2,9 @@
 samplers and finders against their reference formulas and emit
 machine-readable summary rows.
 
-Every repetition draws from its own (seed, repetition) stream, results are
-aggregated in repetition order, and parallel execution cannot change any
-output byte.
+Every repetition draws from its own (seed, repetition) stream, made by
+_run_reps, results are aggregated in repetition order, and parallel
+execution cannot change any output byte.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
 from .finders import (NotFoundError, _sprinkle_round, rdfs_longest_path,
@@ -76,25 +75,31 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _run_reps(fn, payloads, threads=1):
+def _rep_job(fn, params, seed, rep):
+    return fn(*params, RngStream(seed, rep).generator())
+
+
+def _run_reps(fn, params, reps, seed, threads=1):
+    """[fn(*params, gen) for each repetition], in repetition order, where
+    repetition i's gen draws from stream (seed, i)."""
+    # the single-stream samplers (min_double_bridge_samples, exp_tree_size_law)
+    # keep one generator for every draw: their draw sequences are defined so
+    job = partial(_rep_job, fn, params, seed)
     if threads and threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            chunk = max(1, len(payloads) // (threads * 4) or 1)
-            return list(ex.map(fn, payloads, chunksize=chunk))
-    return [fn(p) for p in payloads]
+            chunk = max(1, reps // (threads * 4))
+            return list(ex.map(job, range(reps), chunksize=chunk))
+    return [job(i) for i in range(reps)]
 
 
 # ---------------------------------------------------------------------------
 # random-forest statistics
 
-def _rep_min_split(args):
-    m, seed, rep = args
-    gen = RngStream(seed, rep).generator()
-    f = sample_uniform_forest(m, 1, gen)
-    w = int(gen.integers(1, m))
-    below = subtree_size_below(f, w, children_index(f))
-    return min(below, m - below)
+def _rep_bridge(m, t, gen):
+    f = sample_uniform_forest(m, t, gen)
+    w = int(gen.integers(t, m))
+    return subtree_size_below(f, w, children_index(f))
 
 
 def exp_min_split(m_grid, reps, seed, threads=1):
@@ -104,7 +109,10 @@ def exp_min_split(m_grid, reps, seed, threads=1):
     for m in m_grid:
         if m < 2:
             raise InvalidConfigError("min-split needs m >= 2")
-        vals = _run_reps(_rep_min_split, [(m, seed, i) for i in range(reps)], threads)
+        # a one-root forest is a uniform tree, and the bridge number is the
+        # side below the uniform edge
+        vals = [min(b, m - b)
+                for b in _run_reps(_rep_bridge, (m, 1), reps, seed, threads)]
         mean, std = _mean_std(vals)
         means[m] = (mean, std)
         rows.append(SummaryRow(params=(("m", m),), mean=mean, std=std,
@@ -130,19 +138,11 @@ def exp_min_split(m_grid, reps, seed, threads=1):
     return rows, checks
 
 
-def _rep_bridge(args):
-    m, t, seed, rep = args
-    gen = RngStream(seed, rep).generator()
-    f = sample_uniform_forest(m, t, gen)
-    w = int(gen.integers(t, m))
-    return subtree_size_below(f, w, children_index(f))
-
-
 def exp_bridge_number(m, t, reps, seed, threads=1):
     """Mean bridge number of a uniform forest edge, one-sided against m/(t+1)."""
     if m - t < 1:
         raise InvalidConfigError("needs at least one edge (m > t)")
-    vals = _run_reps(_rep_bridge, [(m, t, seed, i) for i in range(reps)], threads)
+    vals = _run_reps(_rep_bridge, (m, t), reps, seed, threads)
     mean, std = _mean_std(vals)
     ref = m / (t + 1)
     rows = [SummaryRow(params=(("m", m), ("t", t)), mean=mean, std=std,
@@ -220,8 +220,8 @@ def exp_min_double_bridge(t_grid, reps, seed, m_factor=100):
     return rows, checks
 
 
-def exp_tree_size_law(m, t, reps, seed, k_max=5):
-    """Empirical root-tree-size pmf against the Borel point masses."""
+def exp_tree_size_law(m, t, reps, seed):
+    """Empirical root-tree-size pmf at k = 1..5 against the Borel point masses."""
     from .oracles import borel_pmf
     gen = RngStream(seed, 0).generator()
     sampler = RootTreeSizeSampler(m, t)
@@ -231,7 +231,7 @@ def exp_tree_size_law(m, t, reps, seed, k_max=5):
         counts[k] = counts.get(k, 0) + 1
     rows, checks = [], []
     tol = ENVELOPES["borel_tol"]
-    for k in range(1, k_max + 1):
+    for k in range(1, 6):
         emp = counts.get(k, 0) / reps
         ref = borel_pmf(k)
         rows.append(SummaryRow(params=(("m", m), ("t", t), ("k", k)),
@@ -247,20 +247,14 @@ def exp_tree_size_law(m, t, reps, seed, k_max=5):
 # ---------------------------------------------------------------------------
 # phase transition and giant benchmarks
 
-def _rep_phase_sub(args):
-    n, c, eps, seed, rep = args
-    gen = RngStream(seed, rep).generator()
+def _rep_phase_sub(n, c, eps, gen):
     g = colour_uniform(sample_gnp(n, (1.0 - eps) / n, gen), c, gen)
-    tree = subcritical_rainbow_tree(g)
-    order = 0 if tree.size == 0 else len(
-        np.unique(np.concatenate([g.u[tree], g.v[tree]])))
-    order = max(order, 1)
-    return order
+    # the finder asserts a tree, so its order is its edge count plus one; an
+    # empty tree counts as one vertex
+    return subcritical_rainbow_tree(g).size + 1
 
 
-def _rep_phase_super(args):
-    n, c, eps, seed, rep = args
-    gen = RngStream(seed, rep).generator()
+def _rep_phase_super(n, c, eps, gen):
     g = colour_uniform(sample_gnp(n, (1.0 + eps) / n, gen), c, gen)
     part = connected_components(g)
     try:
@@ -288,8 +282,7 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
         eps3n = a ** 3 * n
         if eps < 0:
             ref = (2.0 / a ** 2) * math.log(eps3n)
-            orders = _run_reps(_rep_phase_sub,
-                               [(n, c, a, seed, i) for i in range(reps)], threads)
+            orders = _run_reps(_rep_phase_sub, (n, c, a), reps, seed, threads)
             mean, std = _mean_std(orders)
             rows.append(SummaryRow(
                 params=(("n", n), ("c", c), ("eps", eps), ("eps3n", eps3n)),
@@ -303,8 +296,7 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
                 observed=good, bound=f">= {need}/10 of ratios in [{lo}, {hi}]"))
         else:
             ref = 2.0 * a * n
-            out = _run_reps(_rep_phase_super,
-                            [(n, c, a, seed, i) for i in range(reps)], threads)
+            out = _run_reps(_rep_phase_super, (n, c, a), reps, seed, threads)
             orders = [o for o, _ in out]
             giants = [l1 for _, l1 in out]
             mean, std = _mean_std(orders)
@@ -331,9 +323,7 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
     return rows, checks
 
 
-def _rep_giant(args):
-    n, d, seed, rep = args
-    gen = RngStream(seed, rep).generator()
+def _rep_giant(n, d, gen):
     g = sample_gnp(n, d / n, gen)
     part = connected_components(g)
     return int(part.sizes_desc[0]) / n
@@ -341,7 +331,7 @@ def _rep_giant(args):
 
 def exp_giant_benchmark(n, d, reps, seed, threads=1):
     """Largest-component fraction against the survival probability gamma(d)."""
-    fracs = _run_reps(_rep_giant, [(n, d, seed, i) for i in range(reps)], threads)
+    fracs = _run_reps(_rep_giant, (n, d), reps, seed, threads)
     mean, std = _mean_std(fracs)
     ref = survival_probability(d)
     rows = [SummaryRow(params=(("n", n), ("d", d)), mean=mean, std=std,
@@ -362,9 +352,7 @@ def exp_giant_benchmark(n, d, reps, seed, threads=1):
 # ---------------------------------------------------------------------------
 # path + sprinkle cycle pipeline
 
-def _rep_cycle(args):
-    n, c, d, delta, seed, rep = args
-    gen = RngStream(seed, rep).generator()
+def _rep_cycle(n, c, d, delta, gen):
     p1 = (d - 1.0) / n
     g1 = colour_uniform(sample_gnp(n, p1, gen), c, gen)
     # the cycle argument applies the path search with half the slack; its
@@ -384,8 +372,7 @@ def exp_cycle(n, c, d, delta, reps, seed, threads=1):
         raise InvalidConfigError("need 0 < delta < 1")
     if d / n > 1.0:
         raise InvalidConfigError("d/n exceeds 1")
-    lengths = _run_reps(_rep_cycle,
-                        [(n, c, d, delta, seed, i) for i in range(reps)], threads)
+    lengths = _run_reps(_rep_cycle, (n, c, d, delta), reps, seed, threads)
     r = min(n, c)
     target = (1.0 - delta) * r
     successes = sum(1 for ln in lengths if ln >= target)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -55,18 +55,7 @@ class PipelineReport:
     final_tree_order: int
 
     def as_dict(self) -> dict:
-        return {
-            "core_order": self.core_order,
-            "core_size": self.core_size,
-            "non_unique_core_edges": self.non_unique_core_edges,
-            "hat_core_order": self.hat_core_order,
-            "colour_set_size": self.colour_set_size,
-            "deleted_shared_colour": self.deleted_shared_colour,
-            "deleted_high_frequency": self.deleted_high_frequency,
-            "deleted_double_colour": self.deleted_double_colour,
-            "deleted_unrooted_trees": self.deleted_unrooted_trees,
-            "final_tree_order": self.final_tree_order,
-        }
+        return asdict(self)
 
 
 @dataclass

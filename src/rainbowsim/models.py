@@ -158,7 +158,7 @@ def sample_configuration(d, rng=None) -> ColouredGraph:
 # ---------------------------------------------------------------------------
 # uniform rooted forests
 
-def _iter_wilson_parents(m: int, t: int, gen, count=None, chunk=None):
+def _iter_wilson_parents(m: int, t: int, gen, count=None):
     """Yield parent lists of uniform (m, t)-forests from loop-erased walks.
 
     The walk from each unattached vertex steps to a uniform other vertex
@@ -167,8 +167,7 @@ def _iter_wilson_parents(m: int, t: int, gen, count=None, chunk=None):
     across all yielded samples, so bulk consumers pay no per-sample numpy
     overhead.
     """
-    if chunk is None:
-        chunk = min(1 << 15, max(64, 4 * m))
+    chunk = min(1 << 15, max(64, 4 * m))  # fixes the draw sequence
     hi = m - 1
     buf: list = []
     ptr = 0

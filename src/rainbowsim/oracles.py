@@ -25,7 +25,6 @@ class EnumerationResult:
     count: int
     encodings: list
     forests: list  # parent tuples, aligned with encodings
-    stats: list | None = None
 
 
 def forest_count(m: int, t: int) -> int:
@@ -62,7 +61,7 @@ def _orient(m, t, edge_set):
     return parent
 
 
-def enumerate_forests(m: int, t: int, stat=None) -> EnumerationResult:
+def enumerate_forests(m: int, t: int) -> EnumerationResult:
     """All forests on [m] with root set 0..t-1, by filtered edge-subset search.
 
     Guarded at m <= 8; the count must equal forest_count(m, t).
@@ -75,7 +74,6 @@ def enumerate_forests(m: int, t: int, stat=None) -> EnumerationResult:
     k = m - t
     encodings = []
     forests = []
-    stats = [] if stat is not None else None
     for edges in combinations(pairs, k):
         parent = _orient(m, t, edges)
         if parent is None:
@@ -83,12 +81,10 @@ def enumerate_forests(m: int, t: int, stat=None) -> EnumerationResult:
         f = RootedForest(m=m, t=t, parent=np.array(parent, dtype=np.int64))
         encodings.append(forest_to_line(f))
         forests.append(tuple(parent))
-        if stat is not None:
-            stats.append(stat(f))
     if len(encodings) != forest_count(m, t):
         raise AssertionError("enumeration count disagrees with the closed form")
     return EnumerationResult(count=len(encodings), encodings=encodings,
-                             forests=forests, stats=stats)
+                             forests=forests)
 
 
 def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:

@@ -79,6 +79,19 @@ def test_gen_seed_env_fallback(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "10", "--c", "3", "--p", "0.3"],
+    ["find", "--finder", "sub", "--n", "10", "--c", "3", "--p", "0.3"],
+    ["experiment", "--suite", "borel", "--n", "1000", "--reps", "2"],
+])
+def test_bad_seed_env_exits_64(tmp_path, capsys, args):
+    out = tmp_path / "out.txt"
+    code, _ = run_cli(args + ["--out", str(out)],
+                      env={"RAINBOW_SEED": "seven"})
+    _assert_one_line_usage_error(code, capsys, "'seven'")
+    assert not out.exists()
+
+
 def test_gen_missing_flags_usage_error(tmp_path):
     code, _ = run_cli(["gen", "--n", "10", "--out", str(tmp_path / "x")])
     assert code == 64
@@ -153,6 +166,29 @@ def test_find_sub_on_rainbow_path(tmp_path):
     assert code == 0
     record = json.loads(text.splitlines()[-1])
     assert record["order"] == 12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_find_sub_order_counts_tree_vertices(tmp_path, seed):
+    path = tmp_path / "g.edges"
+    run_cli(["gen", "--n", "3000", "--eps", "-0.1", "--c", "3000",
+             "--seed", str(seed), "--out", str(path)])
+    code, text = run_cli(["find", "--finder", "sub", "--input", str(path)])
+    assert code == 0
+    record = json.loads(text.splitlines()[-1])
+    g = read_edgelist(path)
+    edges = record["edges"]
+    assert edges
+    verts = set(g.u[edges].tolist()) | set(g.v[edges].tolist())
+    assert record["order"] == len(verts)
+
+
+@pytest.mark.parametrize("n, order", [("0", 0), ("5", 1)])
+def test_find_sub_without_edges(n, order):
+    code, text = run_cli(["find", "--finder", "sub", "--n", n, "--c", "3",
+                          "--p", "0"])
+    assert code == 0
+    assert json.loads(text.splitlines()[-1])["order"] == order
 
 
 def test_find_super_on_tree_exits_2(tmp_path):
@@ -281,6 +317,12 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
      "argument --n: must be at least 1, got 0"),
     (["experiment", "--suite", "cycle", "--n", "10", "--reps", "1"],
      "d/n exceeds 1"),
+    (["experiment", "--suite", "min-split", "--n", "5", "--reps", "1"],
+     "--n does not apply to suite 'min-split'"),
+    (["experiment", "--suite", "bridge", "--n", "5", "--reps", "1"],
+     "--n does not apply to suite 'bridge'"),
+    (["experiment", "--suite", "double-bridge", "--n", "5", "--reps", "1"],
+     "--n does not apply to suite 'double-bridge'"),
 ])
 def test_refused_parameters_exit_64(capsys, args, fragment):
     code, _ = run_cli(args)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
-                                    InvalidConfigError, exp_bridge_number,
-                                    exp_cycle, exp_giant_benchmark,
-                                    exp_min_double_bridge, exp_min_split,
-                                    exp_phase_transition, exp_tree_size_law,
+                                    InvalidConfigError, _rep_bridge,
+                                    _rep_cycle, _rep_giant, _rep_phase_sub,
+                                    _rep_phase_super, _run_reps,
+                                    exp_bridge_number, exp_cycle,
+                                    exp_giant_benchmark, exp_min_double_bridge,
+                                    exp_min_split, exp_phase_transition,
+                                    exp_tree_size_law,
                                     min_double_bridge_samples, raw_records,
                                     write_csv)
 from rainbowsim.graphs import RootedForest, subtree_sizes
@@ -196,10 +199,51 @@ def test_experiment_rows_reproducible():
     assert a == b
 
 
-def test_threads_do_not_change_results():
-    a = exp_giant_benchmark(10 ** 4, 2.0, 6, 15, threads=1)
-    b = exp_giant_benchmark(10 ** 4, 2.0, 6, 15, threads=2)
-    assert a == b
+# Per-repetition values of each _run_reps suite at seed 2024, frozen from the
+# per-repetition streams: a shifted or reordered stream changes them.
+_FROZEN = [
+    pytest.param(_rep_bridge, (4, 1), [2, 3, 1, 2, 2, 1, 2, 1], id="min-split-4"),
+    pytest.param(_rep_bridge, (100, 1), [1, 7, 1, 1, 1, 1, 6, 3],
+                 id="min-split-100"),
+    pytest.param(_rep_bridge, (1000, 50), [1, 3, 7, 1, 1, 1, 17, 19],
+                 id="bridge"),
+    pytest.param(_rep_phase_sub, (3000, 3000, 0.2), [33, 38, 29, 46],
+                 id="phase-sub"),
+    pytest.param(_rep_phase_super, (3000, 3000, 0.2),
+                 [(400, 795), (494, 800), (491, 855), (523, 931)],
+                 id="phase-super"),
+    pytest.param(_rep_giant, (2000, 2.0), [0.7635, 0.7765, 0.798, 0.7935],
+                 id="giant"),
+    pytest.param(_rep_cycle, (2000, 2000, 129.0, 0.5), [1236, 1272, 1335],
+                 id="cycle"),
+]
+
+
+@pytest.mark.parametrize("fn, params, expected", _FROZEN)
+def test_run_reps_streams_are_frozen(fn, params, expected):
+    assert _run_reps(fn, params, len(expected), 2024) == expected
+
+
+def test_min_split_streams_are_frozen():
+    rows, _ = exp_min_split((4, 100), 8, 2024)
+    assert [(r.mean, r.std) for r in rows] == [
+        (1.5, 0.5345224838248488), (2.625, 2.5035688811888406)]
+
+
+_THREAD_SUITES = {
+    "min-split": lambda th: exp_min_split((4, 100), 11, 15, threads=th),
+    "bridge": lambda th: exp_bridge_number(100, 5, 9, 15, threads=th),
+    "phase": lambda th: exp_phase_transition(3000, 3000, (-0.2, 0.2), 5, 15,
+                                             threads=th),
+    "giant": lambda th: exp_giant_benchmark(10 ** 4, 2.0, 6, 15, threads=th),
+    "cycle": lambda th: exp_cycle(2000, 2000, 129.0, 0.5, 5, 15, threads=th),
+}
+
+
+@pytest.mark.parametrize("suite", list(_THREAD_SUITES))
+def test_threads_do_not_change_results(suite):
+    run = _THREAD_SUITES[suite]
+    assert run(1) == run(2)
 
 
 def test_write_csv_byte_stable(tmp_path):
