@@ -20,8 +20,7 @@ import time
 import numpy as np
 
 from . import experiments as exps
-from .experiments import (ExperimentConfig, raw_records, raw_suites_records,
-                          write_suites_csv)
+from .experiments import ExperimentConfig, raw_records, write_csv
 from .finders import (EmptyCoreError, NotFoundError, find_rainbow_cycle_weakly_super,
                       rbfs_forest, rdfs_longest_path, subcritical_rainbow_tree,
                       supercritical_rainbow_tree)
@@ -289,13 +288,11 @@ def cmd_experiment(args) -> int:
                   f"bound {chk.bound})")
             all_ok = all_ok and chk.passed
     if args.out:
-        write_suites_csv(args.out, outputs)
+        write_csv(args.out, outputs)
         if args.raw:
-            text = (raw_records(*outputs[0]) if len(outputs) == 1
-                    else raw_suites_records(outputs))
             with open(args.out + ".json", "w", encoding="ascii",
                       newline="\n") as fh:
-                fh.write(text + "\n")
+                fh.write(raw_records(outputs) + "\n")
     return EXIT_OK if all_ok else EXIT_STRUCTURAL
 
 
@@ -347,7 +344,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--out", default=None, help="output CSV path")
     exp.add_argument("--raw", action="store_true",
                      help="also write per-run JSON next to the CSV")
-    exp.add_argument("--threads", type=int, default=1,
+    exp.add_argument("--threads", type=_int_at_least(1), default=1,
                      help="worker processes for repetitions")
     exp.add_argument("--n", type=_int_at_least(1), default=None,
                      help="problem size of the borel, phase, giant and "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
@@ -85,7 +85,7 @@ def _run_reps(fn, params, reps, seed, threads=1):
     # the single-stream samplers (min_double_bridge_samples, exp_tree_size_law)
     # keep one generator for every draw: their draw sequences are defined so
     job = partial(_rep_job, fn, params, seed)
-    if threads and threads > 1:
+    if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as ex:
             chunk = max(1, reps // (threads * 4))
@@ -398,14 +398,10 @@ def exp_cycle(n, c, d, delta, reps, seed, threads=1):
 # ---------------------------------------------------------------------------
 # output
 
-def write_csv(path, config: ExperimentConfig, rows, checks=None) -> None:
-    """CSV with a JSON provenance comment header; byte-stable across reruns."""
-    write_suites_csv(path, [(config, rows, checks or ())])
-
-
-def write_suites_csv(path, suites) -> None:
-    """One CSV for several (config, rows, checks) suites: every provenance
-    header, the column line, every row, then every check."""
+def write_csv(path, suites) -> None:
+    """One CSV for a list of (config, rows, checks) suites: every JSON
+    provenance header, the column line, every row, then every check;
+    byte-stable across reruns."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for config, _, _ in suites:
             fh.write("# " + json.dumps(config.as_dict(), sort_keys=True) + "\n")
@@ -428,27 +424,12 @@ def write_suites_csv(path, suites) -> None:
                          f"observed={chk.observed} bound={chk.bound}\n")
 
 
-def _raw_blob(config: ExperimentConfig, rows, checks) -> dict:
-    return {
-        "config": config.as_dict(),
-        "rows": [{
-            "params": dict(r.params), "mean": r.mean, "std": r.std,
-            "reps": r.reps, "reference": r.reference, "formula": r.formula,
-        } for r in rows],
-        "checks": [{
-            "name": ch.name, "passed": ch.passed,
-            "observed": ch.observed, "bound": ch.bound,
-        } for ch in checks],
-    }
-
-
-def raw_records(config: ExperimentConfig, rows, checks) -> str:
-    """JSON mirror of a run: config, rows and envelope checks."""
-    return json.dumps(_raw_blob(config, rows, checks), sort_keys=True, indent=2)
-
-
-def raw_suites_records(suites) -> str:
-    """One JSON document for several (config, rows, checks) suites: a list
-    of raw_records objects."""
-    return json.dumps([_raw_blob(*suite) for suite in suites],
+def raw_records(suites) -> str:
+    """JSON mirror of a list of (config, rows, checks) suites: the object
+    {config, rows, checks} for one suite, a list of them for several."""
+    blobs = [{"config": config.as_dict(),
+              "rows": [{**asdict(r), "params": dict(r.params)} for r in rows],
+              "checks": [asdict(ch) for ch in checks]}
+             for config, rows, checks in suites]
+    return json.dumps(blobs[0] if len(blobs) == 1 else blobs,
                       sort_keys=True, indent=2)

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .graphs import (ColouredGraph, EmptyCoreError, adjacency,
+from .graphs import (ColouredGraph, EmptyCoreError, _climb, adjacency,
                      connected_components, core_forest_decomposition,
-                     forest_depths, is_rainbow, subtree_sizes)
+                     is_rainbow, subtree_sizes)
 from .models import as_generator, colour_uniform, sample_gnp
 
 
@@ -244,27 +244,16 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     e3 = np.where(a_loses, w_a, w_b)
     x3 = int(b[e3].sum())
 
-    # propagate deletions down the forest, then drop trees rooted off the kept core
+    # a vertex goes with any cut on its root path, and a whole tree goes
+    # when its root is off the kept core; a root's subtree is its tree
     cut = np.zeros(m, dtype=bool)
     cut[e1] = True
     cut[e2] = True
     cut[e3] = True
-    depth = forest_depths(f)
-    order = np.argsort(depth, kind="stable")
-    removed = np.zeros(m, dtype=bool)
-    root_of = np.arange(m, dtype=np.int64)
-    maxd = int(depth.max()) if m else 0
-    bounds = np.searchsorted(depth[order], np.arange(maxd + 2))
-    for d in range(1, maxd + 1):
-        vs = order[bounds[d]:bounds[d + 1]]
-        pv = f.parent[vs]
-        removed[vs] = removed[pv] | cut[vs]
-        root_of[vs] = root_of[pv]
+    root, cuts_above = _climb(f, cut)
+    x4 = int(b[:t][~root_in_hat].sum())
 
-    tree_sizes = np.bincount(root_of, minlength=m)[:t]
-    x4 = int(tree_sizes[~root_in_hat].sum())
-
-    keep_w = w_all[(~removed[w_all]) & root_in_hat[root_of[w_all]]]
+    keep_w = w_all[(cuts_above[t:] == 0) & root_in_hat[root[t:]]]
     kept_forest_edges = f_edge_ids[keep_w - t]
 
     hat_tree = _spanning_edges(g, hat_edge_ids)
@@ -498,7 +487,9 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             kappa = alpha / (alpha + 1.0)
             disc = kappa * kappa - 4.0 * delta
             if disc < 0:
-                raise InvalidDeltaError("delta too large to induce a growth margin")
+                raise InvalidDeltaError(
+                    "delta too large to induce a growth margin: need delta <= "
+                    f"kappa^2/4 = {kappa * kappa / 4.0} at alpha = {alpha}")
             eps = (kappa - math.sqrt(disc)) / 2.0
         pool_cap = int((1.0 - delta) * n)
         if pool_cap < 1:

@@ -265,27 +265,36 @@ class RootedForest:
             raise ValueError("forest contains a cycle")
 
 
-def forest_depths(f: RootedForest) -> np.ndarray:
-    """Distance to the root per vertex.
+def _climb(f: RootedForest, weight):
+    """(root, total) per vertex: the root its parent chain reaches and the
+    sum of ``weight`` along that chain, root excluded.
 
-    -1 flags a vertex whose parent chain never reaches a root: a vertex on
-    a cycle, on a tail that runs into one, or on a chain that ends in a
-    parent outside [0, m). Roots are vertices 0..t-1.
+    root is -1 for a vertex whose chain never reaches a root: a vertex on a
+    cycle, on a tail that runs into one, or on a chain that ends in a parent
+    outside [0, m); its total is then meaningless. Roots are vertices
+    0..t-1.
     """
     m, t = f.m, f.t
     idx = np.arange(m, dtype=np.int64)
-    # pointer jumping: anc[x] is x's 2^k-th ancestor (or its root), dist[x]
-    # the number of edges from x to anc[x]; a non-root with an out-of-range
-    # parent points at itself, so it never reaches a root
+    # pointer jumping: anc[x] is x's 2^k-th ancestor (or its root), total[x]
+    # the weight from x up to anc[x]; a non-root with an out-of-range parent
+    # points at itself, so it never reaches a root
     par = f.parent
     anc = np.where((idx < t) | (par < 0) | (par >= m), idx, par)
-    dist = (idx >= t).astype(np.int64)
+    total = np.where(idx >= t, np.asarray(weight, dtype=np.int64), 0)
     for _ in range(int(m).bit_length()):
         if (anc < t).all():
             break
-        dist += dist[anc]
+        total += total[anc]
         anc = anc[anc]
-    return np.where(anc < t, dist, -1)
+    return np.where(anc < t, anc, -1), total
+
+
+def forest_depths(f: RootedForest) -> np.ndarray:
+    """Distance to the root per vertex; -1 where the parent chain never
+    reaches a root (see _climb)."""
+    root, depth = _climb(f, 1)
+    return np.where(root >= 0, depth, -1)
 
 
 def subtree_sizes(f: RootedForest) -> np.ndarray:
@@ -505,8 +514,20 @@ def forest_to_line(f: RootedForest) -> str:
 
 
 def forest_from_line(line: str) -> RootedForest:
+    """Parse forest_to_line's format; ValueError on a missing `m t` header,
+    a parent count other than m - t, or a forest RootedForest.check
+    rejects."""
     vals = [int(x) for x in line.split()]
+    if len(vals) < 2:
+        raise ValueError("forest line needs an `m t` header")
     m, t = vals[0], vals[1]
+    if not (1 <= t <= m):
+        raise ValueError("need 1 <= t <= m")
+    if len(vals) - 2 != m - t:
+        raise ValueError(f"forest line has {len(vals) - 2} parents, "
+                         f"need m - t = {m - t}")
     parent = np.full(m, -1, dtype=np.int64)
     parent[t:] = vals[2:]
-    return RootedForest(m=m, t=t, parent=parent)
+    f = RootedForest(m=m, t=t, parent=parent)
+    f.check()
+    return f

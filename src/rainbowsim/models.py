@@ -158,8 +158,9 @@ def sample_configuration(d, rng=None) -> ColouredGraph:
 # ---------------------------------------------------------------------------
 # uniform rooted forests
 
-def _iter_wilson_parents(m: int, t: int, gen, count=None):
-    """Yield parent lists of uniform (m, t)-forests from loop-erased walks.
+def _iter_wilson_parents(m: int, t: int, gen, count: int):
+    """Yield ``count`` parent lists of uniform (m, t)-forests from loop-erased
+    walks.
 
     The walk from each unattached vertex steps to a uniform other vertex
     and is absorbed on hitting the growing forest; overwriting the
@@ -172,8 +173,7 @@ def _iter_wilson_parents(m: int, t: int, gen, count=None):
     buf: list = []
     ptr = 0
     end = 0
-    produced = 0
-    while count is None or produced < count:
+    for _ in range(count):
         parent = [-1] * m
         if t < m:
             in_forest = bytearray(m)
@@ -197,7 +197,6 @@ def _iter_wilson_parents(m: int, t: int, gen, count=None):
                     in_forest[u] = 1
                     u = parent[u]
         yield parent
-        produced += 1
 
 
 def sample_uniform_forest(m: int, t: int, rng=None) -> RootedForest:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import ColouredGraph, RootedForest, forest_to_line
+from .graphs import ColouredGraph, RootedForest, forest_to_line, subtree_sizes
 
 
 class TooLargeError(ValueError):
@@ -161,7 +161,6 @@ def exact_min_deleted_component_expectation(m: int) -> float:
     count = 0
     for parent in res.forests:
         f = RootedForest(m=m, t=1, parent=np.array(parent, dtype=np.int64))
-        from .graphs import subtree_sizes
         sizes = subtree_sizes(f)
         for w in range(1, m):
             below = int(sizes[w])

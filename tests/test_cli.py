@@ -323,6 +323,14 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
      "--n does not apply to suite 'bridge'"),
     (["experiment", "--suite", "double-bridge", "--n", "5", "--reps", "1"],
      "--n does not apply to suite 'double-bridge'"),
+    (["experiment", "--suite", "bridge", "--reps", "1", "--threads", "0"],
+     "argument --threads: must be at least 1, got 0"),
+    (["experiment", "--suite", "bridge", "--reps", "1", "--threads", "-3"],
+     "argument --threads: must be at least 1, got -3"),
+    # find's default --delta 0.1 at c = n: the message names the bound
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--n", "3000",
+      "--d", "3", "--c", "3000"],
+     "need delta <= kappa^2/4 = 0.0625 at alpha = 1.0"),
 ])
 def test_refused_parameters_exit_64(capsys, args, fragment):
     code, _ = run_cli(args)

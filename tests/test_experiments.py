@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from rainbowsim.envelopes import ENVELOPES_VERSION
 from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
-                                    InvalidConfigError, _rep_bridge,
-                                    _rep_cycle, _rep_giant, _rep_phase_sub,
+                                    InvalidConfigError, SummaryRow,
+                                    _rep_bridge, _rep_cycle, _rep_giant,
+                                    _rep_phase_sub,
                                     _rep_phase_super, _run_reps,
                                     exp_bridge_number, exp_cycle,
                                     exp_giant_benchmark, exp_min_double_bridge,
@@ -251,8 +253,8 @@ def test_write_csv_byte_stable(tmp_path):
     config = ExperimentConfig(name="min-split", reps=1000, seed=16)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_csv(p1, config, rows, checks)
-    write_csv(p2, config, rows, checks)
+    write_csv(p1, [(config, rows, checks)])
+    write_csv(p2, [(config, rows, checks)])
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header.startswith("# {") and json.loads(header[2:])["seed"] == 16
@@ -260,6 +262,58 @@ def test_write_csv_byte_stable(tmp_path):
 
 def test_raw_records_json():
     rows, checks = exp_giant_benchmark(10 ** 4, 2.0, 3, 17)
-    blob = json.loads(raw_records(ExperimentConfig("giant", 3, 17), rows, checks))
+    blob = json.loads(raw_records([(ExperimentConfig("giant", 3, 17), rows,
+                                    checks)]))
     assert blob["config"]["seed"] == 17
     assert len(blob["rows"]) == 1 and len(blob["checks"]) == 1
+
+
+def _two_suites():
+    a = (ExperimentConfig("alpha", 2, 5, (("m", 4),)),
+         [SummaryRow((("m", 4), ("stat", "x")), 1.5, 0.25, 2, 2.0, "sqrt(m)"),
+          SummaryRow((("m", 9),), 3.0, 0.0, 2, 3.0, "a, b")],
+         [EnvelopeCheck("a_ok", True, 1.5, "<= 2")])
+    b = (ExperimentConfig("beta", 3, 6),
+         [SummaryRow((("n", 10),), 0.5, 0.125, 3, 1.0, "one")],
+         [EnvelopeCheck("b_low", False, 0.5, ">= 1"),
+          EnvelopeCheck("b_high", True, 0.5, "<= 2")])
+    return [a, b]
+
+
+def test_write_csv_two_suites(tmp_path):
+    path = tmp_path / "two.csv"
+    write_csv(path, _two_suites())
+    lines = path.read_text().splitlines()
+    assert [json.loads(ln[2:])["experiment"] for ln in lines[:2]] == \
+        ["alpha", "beta"]
+    assert json.loads(lines[0][2:]) == {"experiment": "alpha", "reps": 2,
+                                        "seed": 5, "m": 4,
+                                        "envelopes_version":
+                                            ENVELOPES_VERSION}
+    assert lines[2:] == [
+        "experiment,params,mean,std,reps,reference,formula",
+        "alpha,m=4;stat=x,1.5,0.25,2,2.0,sqrt(m)",
+        "alpha,m=9,3.0,0.0,2,3.0,a; b",
+        "beta,n=10,0.5,0.125,3,1.0,one",
+        "# check a_ok PASS observed=1.5 bound=<= 2",
+        "# check b_low FAIL observed=0.5 bound=>= 1",
+        "# check b_high PASS observed=0.5 bound=<= 2",
+    ]
+
+
+def test_raw_records_two_suites():
+    suites = _two_suites()
+    blobs = json.loads(raw_records(suites))
+    assert isinstance(blobs, list) and len(blobs) == 2
+    assert blobs[0] == {
+        "config": suites[0][0].as_dict(),
+        "rows": [{"params": {"m": 4, "stat": "x"}, "mean": 1.5, "std": 0.25,
+                  "reps": 2, "reference": 2.0, "formula": "sqrt(m)"},
+                 {"params": {"m": 9}, "mean": 3.0, "std": 0.0, "reps": 2,
+                  "reference": 3.0, "formula": "a, b"}],
+        "checks": [{"name": "a_ok", "passed": True, "observed": 1.5,
+                    "bound": "<= 2"}],
+    }
+    assert [c["name"] for c in blobs[1]["checks"]] == ["b_low", "b_high"]
+    # one suite is the bare object, not a list of one
+    assert json.loads(raw_records(suites[1:])) == blobs[1]

@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowsim.finders import (ExplorationTrace, InvalidDeltaError,
-                                InvalidEpsilonError, NotFoundError, check_cycle,
-                                close_cycle_edges,
+                                InvalidEpsilonError, NotFoundError,
+                                PipelineReport, check_cycle, close_cycle_edges,
                                 find_rainbow_cycle_weakly_super, rbfs_forest,
                                 rdfs_longest_path, sprinkle_close_cycle,
                                 subcritical_rainbow_tree,
                                 supercritical_rainbow_tree, _assert_rainbow_tree,
-                                _Fenwick, _path_colours, _require_coloured,
-                                _spanning_edges)
+                                _Fenwick, _largest_piece, _path_colours,
+                                _require_coloured, _spanning_edges)
 from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
-                               connected_components, is_rainbow)
+                               connected_components, core_forest_decomposition,
+                               forest_depths, is_rainbow, subtree_sizes)
 from rainbowsim.models import (RngStream, as_generator, colour_uniform,
-                               sample_gnp, sample_uniform_forest)
+                               sample_configuration, sample_gnp,
+                               sample_uniform_forest)
 from rainbowsim.oracles import exact_max_rainbow_tree
 
 
@@ -260,6 +262,148 @@ def test_supercritical_invariants_on_random_samples():
                   report.deleted_double_colour, report.deleted_unrooted_trees):
             assert x >= 0
     assert done >= 30
+
+
+def level_loop_supercritical_rainbow_tree(g: ColouredGraph):
+    """supercritical_rainbow_tree when it pushed deletions and root ids down
+    the forest one depth level at a time, kept verbatim as the reference.
+
+    Core/forest deletion pipeline; returns (tree edge ids, PipelineReport).
+
+    Within the giant+unicyclic region: drop non-unique colours from the
+    2-core, keep its largest rainbow piece, then prune the surrounding
+    forest in four passes (core-shared colours, colours appearing three or
+    more times, the smaller branch of each colour pair, trees rooted off the
+    kept piece) and return a spanning tree of what stays connected.
+    """
+    _require_coloured(g)
+    if g.n == 0:
+        raise EmptyCoreError("graph has no vertices")
+    part = connected_components(g)
+    giant_id = part.largest_id()
+    giant = np.flatnonzero(part.labels == giant_id)
+
+    # unicyclic components: edge count equals vertex count
+    vcount = np.bincount(part.labels, minlength=g.n)
+    ecount = np.bincount(part.labels[g.u], minlength=g.n)
+    uni = (vcount > 0) & (ecount == vcount)
+    uni[giant_id] = False
+    unicyclic = np.flatnonzero(uni[part.labels])
+
+    decomp = core_forest_decomposition(g, giant, unicyclic)
+    core_edges = decomp.core_edges
+    core_cols = g.colour[core_edges]
+    col_counts = np.bincount(core_cols)
+    dup_mask = col_counts[core_cols] >= 2
+    r_edges = core_edges[dup_mask]
+    kept_core_edges = core_edges[~dup_mask]
+
+    # largest component of core minus duplicate-coloured edges; forest roots
+    # are the core vertices in the same order, so its mask marks kept roots
+    root_in_hat, hat_edge_mask = _largest_piece(g, decomp.core_vertices,
+                                                kept_core_edges)
+    hat_edge_ids = kept_core_edges[hat_edge_mask]
+    # kept core edges carry pairwise distinct colours
+    z_cols = g.colour[hat_edge_ids]
+
+    f = decomp.forest
+    m, t = f.m, f.t
+    w_all = np.arange(t, m, dtype=np.int64)
+    f_edge_ids = decomp.forest_edge_ids[t:]
+    f_cols = g.colour[f_edge_ids]
+    b = subtree_sizes(f)
+
+    in_z = np.zeros(g.c + 1, dtype=bool)
+    in_z[z_cols] = True
+    fcount = np.bincount(f_cols, minlength=g.c + 1)
+
+    e1 = w_all[in_z[f_cols]]
+    e2 = w_all[fcount[f_cols] >= 3]
+    x1 = int(b[e1].sum())
+    x2 = int(b[e2].sum())
+
+    # colour pairs: delete the branch with the smaller (bridge number, edge id)
+    pair_ws = w_all[fcount[f_cols] == 2]
+    ws = pair_ws[np.argsort(f_cols[pair_ws - t], kind="stable")]
+    w_a, w_b = ws[0::2], ws[1::2]
+    b_a, b_b = b[w_a], b[w_b]
+    a_loses = (b_a < b_b) | ((b_a == b_b)
+                             & (f_edge_ids[w_a - t] <= f_edge_ids[w_b - t]))
+    e3 = np.where(a_loses, w_a, w_b)
+    x3 = int(b[e3].sum())
+
+    # propagate deletions down the forest, then drop trees rooted off the kept core
+    cut = np.zeros(m, dtype=bool)
+    cut[e1] = True
+    cut[e2] = True
+    cut[e3] = True
+    depth = forest_depths(f)
+    order = np.argsort(depth, kind="stable")
+    removed = np.zeros(m, dtype=bool)
+    root_of = np.arange(m, dtype=np.int64)
+    maxd = int(depth.max()) if m else 0
+    bounds = np.searchsorted(depth[order], np.arange(maxd + 2))
+    for d in range(1, maxd + 1):
+        vs = order[bounds[d]:bounds[d + 1]]
+        pv = f.parent[vs]
+        removed[vs] = removed[pv] | cut[vs]
+        root_of[vs] = root_of[pv]
+
+    tree_sizes = np.bincount(root_of, minlength=m)[:t]
+    x4 = int(tree_sizes[~root_in_hat].sum())
+
+    keep_w = w_all[(~removed[w_all]) & root_in_hat[root_of[w_all]]]
+    kept_forest_edges = f_edge_ids[keep_w - t]
+
+    hat_tree = _spanning_edges(g, hat_edge_ids)
+    out = np.concatenate([hat_tree, np.sort(kept_forest_edges)])
+
+    hat_order = int(root_in_hat.sum())
+    kept_vertex_count = hat_order + int(keep_w.size)
+    report = PipelineReport(
+        core_order=int(decomp.core_vertices.size),
+        core_size=int(core_edges.size),
+        non_unique_core_edges=int(r_edges.size),
+        hat_core_order=hat_order,
+        colour_set_size=int(z_cols.size),
+        deleted_shared_colour=x1,
+        deleted_high_frequency=x2,
+        deleted_double_colour=x3,
+        deleted_unrooted_trees=x4,
+        final_tree_order=kept_vertex_count,
+    )
+    _assert_rainbow_tree(g, out)
+    assert report.final_tree_order <= m
+    return out, report
+
+
+@st.composite
+def supercritical_inputs(draw):
+    """Coloured G(n, p) around and above the phase transition, or a coloured
+    configuration multigraph with loops and parallel edges."""
+    gen = RngStream(draw(st.integers(0, 2 ** 32 - 1))).generator()
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 400))
+        g = sample_gnp(n, min(1.0, draw(st.floats(0.5, 4.0)) / max(n, 1)), gen)
+    else:
+        degs = draw(st.lists(st.integers(0, 4), max_size=300))
+        g = sample_configuration(degs + [sum(degs) % 2], gen)
+    return colour_uniform(g, draw(st.integers(1, 600)), gen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(supercritical_inputs())
+def test_supercritical_matches_level_loop_reference(g):
+    try:
+        want, want_report = level_loop_supercritical_rainbow_tree(g)
+    except EmptyCoreError:
+        with pytest.raises(EmptyCoreError):
+            supercritical_rainbow_tree(g)
+        return
+    got, report = supercritical_rainbow_tree(g)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+    assert report == want_report
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from rainbowsim import graphs as graphs_module
 from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
-                               EmptyCoreError, RootedForest, _peel_masks,
-                               adjacency, bridge_number, connected_components,
+                               EmptyCoreError, RootedForest, _climb,
+                               _peel_masks, adjacency, bridge_number,
+                               connected_components,
                                core_forest_decomposition, forest_depths,
                                forest_from_line, forest_to_line, is_rainbow,
                                read_edgelist, subtree_sizes, two_core,
@@ -697,13 +698,36 @@ def parent_arrays(draw):
     return RootedForest(m=m, t=t, parent=np.array([-1] * t + rest, dtype=np.int64))
 
 
+def chain_walk_climb(f: RootedForest, weight):
+    """(root, total) by walking each parent chain: -1 and 0 where it never
+    reaches a root."""
+    root = np.full(f.m, -1, dtype=np.int64)
+    total = np.zeros(f.m, dtype=np.int64)
+    for x in range(f.m):
+        y, s, seen = x, 0, set()
+        while f.t <= y < f.m and y not in seen:
+            seen.add(y)
+            s += int(weight[y])
+            y = int(f.parent[y])
+        if 0 <= y < f.t:
+            root[x], total[x] = y, s
+    return root, total
+
+
 @settings(max_examples=1000, deadline=None)
-@given(parent_arrays())
-def test_forest_depths_match_chain_walk(f):
+@given(parent_arrays(), st.data())
+def test_forest_depths_match_chain_walk(f, data):
     want = chain_walk_depths(f)
     got = forest_depths(f)
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
+    weight = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=f.m,
+                                         max_size=f.m)), dtype=np.int64)
+    want_root, want_total = chain_walk_climb(f, weight)
+    root, total = _climb(f, weight)
+    assert root.tolist() == want_root.tolist()
+    reached = want_root >= 0
+    assert total[reached].tolist() == want_total[reached].tolist()
     if (want < 0).any():
         with pytest.raises(ValueError):
             subtree_sizes(f)
@@ -793,3 +817,14 @@ def test_forest_line_roundtrip():
     assert line == "5 2 0 2 1"
     f2 = forest_from_line(line)
     assert f2.m == 5 and f2.t == 2 and f2.parent.tolist() == f.parent.tolist()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("3 1 0 7", "out of range"),
+    ("3 1 2 1", "cycle"),
+    ("", "header"),
+    ("5 2 0 0", "need m - t = 3"),
+])
+def test_forest_from_line_rejects(line, message):
+    with pytest.raises(ValueError, match=message):
+        forest_from_line(line)
