@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -81,14 +82,19 @@ def _rep_job(fn, params, seed, rep):
 
 def _run_reps(fn, params, reps, seed, threads=1):
     """[fn(*params, gen) for each repetition], in repetition order, where
-    repetition i's gen draws from stream (seed, i)."""
+    repetition i's gen draws from stream (seed, i).
+
+    Runs in at most ``threads`` worker processes, and in no more than there
+    are repetitions or cores.
+    """
     # the single-stream samplers (min_double_bridge_samples, exp_tree_size_law)
     # keep one generator for every draw: their draw sequences are defined so
     job = partial(_rep_job, fn, params, seed)
-    if threads > 1:
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            chunk = max(1, reps // (threads * 4))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            chunk = max(1, reps // (workers * 4))
             return list(ex.map(job, range(reps), chunksize=chunk))
     return [job(i) for i in range(reps)]
 

@@ -594,9 +594,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     trace = ExplorationTrace(queries=queries, accepted=accepted,
                              stop_reason=stop, tree_edges=tree_edges)
     assert trace.accepted <= trace.queries
-    assert is_rainbow(g, tree_edges), "RBFS tree is not rainbow"
-    if tree_edges:
-        _assert_rainbow_tree(g, tree_edges)
+    _assert_rainbow_tree(g, tree_edges)
     return trace
 
 
@@ -645,38 +643,45 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
 
     Windows hold the first and last max(1, floor(delta r / 4)) path vertices
     (r = min(n, c)), clipped to half the path. Edges already present in g1
-    are skipped, as are colours already used on the path. Returns the edge
-    triple (u, v, colour); raises NotFoundError when nothing qualifies.
+    are skipped, as are colours already used on the path. ``g2_edges`` holds
+    (u, v, colour) triples, as a sequence or a (k, 3) array. Returns the
+    first qualifying triple as Python ints; raises NotFoundError when
+    nothing qualifies.
     g1 must be simple (ValueError otherwise): the path's colours are read
     from its steps.
     """
     _require_simple(g1)
-    path = list(path)
-    if len(path) < 2:
+    path = np.asarray(path, dtype=np.int64)
+    if path.size < 2:
         raise NotFoundError("path too short to close")
     r = min(g1.n, g1.c)
     w = max(1, int(delta * r / 4.0))
-    w = min(w, len(path) // 2)
-    first = {v: i for i, v in enumerate(path[:w])}
-    last = {v: len(path) - w + i for i, v in enumerate(path[len(path) - w:])}
-    used = set(_path_colours(g1, path))
+    w = min(w, path.size // 2)
+    first, last = path[:w], path[path.size - w:]
+    used = np.array(_path_colours(g1, path), dtype=np.int64)
     # a candidate joins two window vertices, so only g1 edges inside the
     # windows can rule one out
     window = np.zeros(g1.n, dtype=bool)
-    window[list(first)] = True
-    window[list(last)] = True
+    window[first] = True
+    window[last] = True
     inside = window[g1.u] & window[g1.v]
     u, v = g1.u[inside], g1.v[inside]
-    in_g1 = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
-    for a, b, colour in g2_edges:
-        a, b, colour = int(a), int(b), int(colour)
-        if ((a in first and b in last) or (a in last and b in first)):
-            if (min(a, b), max(a, b)) in in_g1:
-                continue
-            if colour in used:
-                continue
-            return (a, b, colour)
-    raise NotFoundError("no fresh edge joins the endpoint windows")
+    in_g1 = np.sort(np.minimum(u, v) * g1.n + np.maximum(u, v))
+
+    a, b, colour = np.asarray(g2_edges, dtype=np.int64).reshape(-1, 3).T
+    # +1 in the first window, -1 in the last, 0 in neither: the windows
+    # are disjoint halves of a path
+    side_a = np.isin(a, first).astype(np.int8) - np.isin(a, last)
+    side_b = np.isin(b, first).astype(np.int8) - np.isin(b, last)
+    ok = np.flatnonzero((side_a * side_b == -1) & ~np.isin(colour, used))
+    # both ends of a candidate are path vertices, so its key is in range
+    key = np.minimum(a[ok], b[ok]) * g1.n + np.maximum(a[ok], b[ok])
+    in_g1_too = (np.searchsorted(in_g1, key, side="right")
+                 > np.searchsorted(in_g1, key))
+    ok = ok[~in_g1_too]
+    if ok.size == 0:
+        raise NotFoundError("no fresh edge joins the endpoint windows")
+    return tuple(int(x) for x in (a[ok[0]], b[ok[0]], colour[ok[0]]))
 
 
 def close_cycle_edges(g1: ColouredGraph, path, edge):
@@ -720,7 +725,7 @@ def _sprinkle_round(g1: ColouredGraph, path, p1: float, p: float,
     """
     p2 = 1.0 - (1.0 - p) / (1.0 - p1)
     g2 = colour_uniform(sample_gnp(g1.n, p2, gen), g1.c, gen)
-    g2_edges = list(zip(g2.u.tolist(), g2.v.tolist(), g2.colour.tolist()))
+    g2_edges = np.column_stack([g2.u, g2.v, g2.colour])
     edge = sprinkle_close_cycle(g1, path, g2_edges, delta)
     cycle = close_cycle_edges(g1, path, edge)
     check_cycle(cycle)

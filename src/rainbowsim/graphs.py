@@ -133,25 +133,38 @@ def adjacency(g: ColouredGraph):
     and eid gives the index of the corresponding edge in g. Parallel edges
     keep their input order.
 
-    The sort kind follows ``g.multigraph``: a multigraph needs a stable
-    sort, while on a simple graph every key is unique and numpy's default
-    sort gives the same order faster. A graph flagged simple must be simple.
+    Half-edge k < m is edge k stored as (u, v), k >= m is edge k - m stored
+    as (v, u); the CSR lists the half-edges in (end, neighbour, k) order.
     """
-    m = g.m
-    ends = np.concatenate([g.u, g.v])
-    other = np.concatenate([g.v, g.u])
-    # one key orders by (end, neighbour); the stable sort breaks the ties
-    # of parallel edges by input position, the order a lexsort on
-    # (other, ends) gives
-    order = np.argsort(ends * g.n + other,
-                       kind="stable" if g.multigraph else None)
-    nbr = other[order]
-    # half-edge k < m is edge k stored as (u, v), k >= m edge k - m as (v, u)
-    eid = order
-    eid[eid >= m] -= m
-    counts = np.bincount(ends, minlength=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    m, n = g.m, g.n
+    ebits = m.bit_length()
+    vbits, hbits = n.bit_length(), ebits + 1
+    if 2 * vbits + hbits <= 63:
+        # one non-negative key per half-edge packs, high bits to low, its
+        # end, its neighbour, k >= m and its edge id, so the key's value
+        # order is (end, neighbour, k); numpy's SIMD value sort beats an
+        # argsort, and the edge id is read back with a mask
+        key = np.concatenate([g.u, g.v])
+        key <<= vbits + hbits
+        key |= np.concatenate([g.v, g.u]) << hbits
+        ids = np.arange(m, dtype=np.int64)
+        key[:m] |= ids
+        ids |= 1 << ebits
+        key[m:] |= ids
+        key.sort()
+        nbr = key >> hbits
+        nbr &= (1 << vbits) - 1
+        key &= (1 << ebits) - 1
+        eid = key
+    else:
+        # the key does not fit in 63 bits: a stable argsort breaks the ties
+        # by k instead
+        other = np.concatenate([g.v, g.u])
+        eid = np.argsort(np.concatenate([g.u, g.v]) * n + other, kind="stable")
+        nbr = other[eid]
+        eid[eid >= m] -= m
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(g.degrees(), out=indptr[1:])
     return indptr, nbr, eid
 
 
@@ -355,11 +368,8 @@ def bridge_number(f: RootedForest, e) -> int:
 
 def is_rainbow(g: ColouredGraph, edge_ids) -> bool:
     """True iff the given edges carry pairwise distinct colours."""
-    ids = _as_index_array(edge_ids)
-    if ids.size == 0:
-        return True
-    cols = g.colour[ids]
-    return len(np.unique(cols)) == len(cols)
+    cols = np.sort(g.colour[_as_index_array(edge_ids)])
+    return not (cols[1:] == cols[:-1]).any()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -246,6 +247,45 @@ _THREAD_SUITES = {
 def test_threads_do_not_change_results(suite):
     run = _THREAD_SUITES[suite]
     assert run(1) == run(2)
+
+
+@pytest.mark.parametrize("threads, reps, cores, workers", [
+    (64, 3, 64, 3),     # no more workers than repetitions
+    (64, 10, 2, 2),     # nor than cores
+    (2, 10, 64, 2),
+    (64, 10, None, 1),  # core count unknown: serial
+    (64, 1, 64, 1),
+])
+def test_run_reps_caps_the_worker_pool(monkeypatch, threads, reps, cores,
+                                       workers):
+    import concurrent.futures
+    pools = []
+
+    class SerialPool:
+        """Records how it was asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            pools[-1]["chunksize"] = chunksize
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    got = _run_reps(_rep_bridge, (100, 5), reps, 2024, threads=threads)
+    assert got == _run_reps(_rep_bridge, (100, 5), reps, 2024)
+    if workers == 1:
+        assert pools == []
+    else:
+        assert pools == [{"max_workers": workers,
+                          "chunksize": max(1, reps // (workers * 4))}]
 
 
 def test_write_csv_byte_stable(tmp_path):

@@ -15,7 +15,8 @@ from rainbowsim.finders import (ExplorationTrace, InvalidDeltaError,
                                 subcritical_rainbow_tree,
                                 supercritical_rainbow_tree, _assert_rainbow_tree,
                                 _Fenwick, _largest_piece, _path_colours,
-                                _require_coloured, _spanning_edges)
+                                _require_coloured, _require_simple,
+                                _spanning_edges)
 from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
                                connected_components, core_forest_decomposition,
                                forest_depths, is_rainbow, subtree_sizes)
@@ -1077,6 +1078,104 @@ def test_sprinkle_refuses_multigraphs():
         sprinkle_close_cycle(g, trace.path, [(0, 1, 3)], delta=1.0)
     with pytest.raises(ValueError, match="simple"):
         close_cycle_edges(g, trace.path, (0, 1, 3))
+
+
+def reference_sprinkle_close_cycle(g1, path, g2_edges, delta):
+    """sprinkle_close_cycle as it was before the numpy pass: one Python loop
+    over the triples against a set of g1's window edges."""
+    _require_simple(g1)
+    path = list(path)
+    if len(path) < 2:
+        raise NotFoundError("path too short to close")
+    r = min(g1.n, g1.c)
+    w = max(1, int(delta * r / 4.0))
+    w = min(w, len(path) // 2)
+    first = {v: i for i, v in enumerate(path[:w])}
+    last = {v: len(path) - w + i for i, v in enumerate(path[len(path) - w:])}
+    used = set(_path_colours(g1, path))
+    # a candidate joins two window vertices, so only g1 edges inside the
+    # windows can rule one out
+    window = np.zeros(g1.n, dtype=bool)
+    window[list(first)] = True
+    window[list(last)] = True
+    inside = window[g1.u] & window[g1.v]
+    u, v = g1.u[inside], g1.v[inside]
+    in_g1 = set(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    for a, b, colour in g2_edges:
+        a, b, colour = int(a), int(b), int(colour)
+        if ((a in first and b in last) or (a in last and b in first)):
+            if (min(a, b), max(a, b)) in in_g1:
+                continue
+            if colour in used:
+                continue
+            return (a, b, colour)
+    raise NotFoundError("no fresh edge joins the endpoint windows")
+
+
+def assert_sprinkles_like_reference(g1, path, g2_edges, delta):
+    try:
+        want = reference_sprinkle_close_cycle(g1, path, g2_edges, delta)
+    except NotFoundError as exc:
+        with pytest.raises(NotFoundError, match=str(exc)):
+            sprinkle_close_cycle(g1, path, g2_edges, delta)
+        return
+    got = sprinkle_close_cycle(g1, path, g2_edges, delta)
+    assert got == want and all(type(x) is int for x in got)
+
+
+@st.composite
+def sprinkle_cases(draw):
+    """A simple coloured g1 holding a path, and second-round triples that
+    join window vertices, repeat g1 edges and path colours, or fall
+    outside [0, n) and [1, c]."""
+    n = draw(st.integers(1, 14))
+    c = draw(st.integers(1, 30))
+    ln = draw(st.one_of(st.just(n), st.integers(0, n)))
+    path = draw(st.permutations(range(n)))[:ln]
+    colour = st.integers(1, c)
+    edges = {(min(a, b), max(a, b)): (a, b, draw(colour))
+             for a, b in zip(path[:-1], path[1:])}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=20)):
+        if a != b:
+            edges.setdefault((min(a, b), max(a, b)), (a, b, draw(colour)))
+    g1 = ColouredGraph.from_edges(n, list(edges.values()), c=c)
+    vertex = st.integers(-2, n + 1)
+    triple = st.one_of(
+        st.tuples(vertex, vertex, st.integers(-1, c + 2)),
+        st.tuples(st.sampled_from(path[:len(path) // 2] or [0]),
+                  st.sampled_from(path[len(path) // 2:] or [0]),
+                  st.integers(0, c + 1)),
+        st.sampled_from(list(edges.values()) or [(0, 0, 1)]))
+    g2_edges = draw(st.lists(triple, max_size=25))
+    delta = draw(st.sampled_from([0.0, 0.3, 1.0, 4.0, 100.0]))
+    return g1, path, g2_edges, delta
+
+
+@settings(max_examples=400, deadline=None)
+@given(sprinkle_cases())
+def test_sprinkle_matches_reference(case):
+    assert_sprinkles_like_reference(*case)
+
+
+def test_sprinkle_matches_reference_on_cycle_workload_graphs():
+    # the graphs, paths and second rounds of one exp_cycle repetition
+    n = c = 5000
+    d, delta = 129.0, 0.5
+    p1 = (d - 1.0) / n
+    p2 = 1.0 - (1.0 - d / n) / (1.0 - p1)
+    for i in range(20):
+        gen = RngStream(4242, i).generator()
+        g1 = colour_uniform(sample_gnp(n, p1, gen), c, gen)
+        trace = rdfs_longest_path(g1, mode="faithful", delta=delta / 2.0,
+                                  query_budget=n * min(n, c))
+        g2 = colour_uniform(sample_gnp(n, p2, gen), c, gen)
+        g2_edges = list(zip(g2.u.tolist(), g2.v.tolist(), g2.colour.tolist()))
+        assert_sprinkles_like_reference(g1, trace.path, g2_edges, delta)
+        assert (sprinkle_close_cycle(g1, trace.path, g2_edges, delta)
+                == sprinkle_close_cycle(g1, trace.path,
+                                        np.column_stack([g2.u, g2.v,
+                                                         g2.colour]), delta))
 
 
 def sorted_lookup_colours(g, path):

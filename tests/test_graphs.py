@@ -1,3 +1,5 @@
+import os
+import threading
 import warnings
 from collections import deque
 
@@ -265,7 +267,27 @@ def graphs_and_multigraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(graphs_and_multigraphs())
 def test_adjacency_matches_lexsort_reference(g):
-    # simple graphs take numpy's default sort, multigraphs the stable one
+    # one packed-key sort serves simple graphs and multigraphs alike
+    got = adjacency(g)
+    want = lexsort_adjacency(g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, m", [
+    (2 ** 20, 2 ** 19),       # the packed key takes all 63 bits
+    (2 ** 21 + 1, 2 ** 18),   # it would take 64: the argsort path
+])
+def test_adjacency_matches_lexsort_reference_on_large_ids(n, m):
+    gen = np.random.default_rng(2 ** 18)
+    u = gen.integers(0, n, size=m)
+    v = gen.integers(0, n, size=m)
+    # one parallel pair, stored in opposite directions, on the largest id
+    u[:2] = n - 1, 7
+    v[:2] = 7, n - 1
+    g = ColouredGraph(n=n, c=0, u=u, v=v, colour=np.zeros(m, np.int64),
+                      multigraph=True)
     got = adjacency(g)
     want = lexsort_adjacency(g)
     for a, b in zip(got, want):
@@ -753,6 +775,17 @@ def test_is_rainbow():
     assert is_rainbow(g, [])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=8), st.data())
+def test_is_rainbow_matches_set_reference(colours, data):
+    g = ColouredGraph.from_edges(2, [(0, 1, col) for col in colours], c=6,
+                                 multigraph=True)
+    ids = data.draw(st.lists(st.integers(0, max(len(colours) - 1, 0)),
+                             max_size=len(colours), unique=True))
+    picked = [colours[i] for i in ids]
+    assert is_rainbow(g, ids) == (len(set(picked)) == len(picked))
+
+
 # ---------------------------------------------------------------------------
 # text formats
 
@@ -799,6 +832,38 @@ def test_write_edgelist_matches_reference_bytes(tmp_path, monkeypatch, chunk):
         write_edgelist(g, got)
         reference_write_edgelist(g, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_read_edgelist_reads_a_pipe_once(tmp_path):
+    # a reader that opened the path a second time would find the header and
+    # the first buffered lines already consumed
+    g = colour_uniform(sample_gnp(4000, 0.0025, RngStream(12)), 50,
+                       RngStream(13))
+    path = tmp_path / "g.edges"
+    write_edgelist(g, path)
+    data = path.read_bytes()
+    assert len(data) > 1 << 17      # far more than one pipe buffer
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = read_edgelist(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = read_edgelist(path)
+    assert (piped.n, piped.c, piped.multigraph) == (want.n, want.c,
+                                                     want.multigraph)
+    for name in ("u", "v", "colour"):
+        a, b = getattr(piped, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_edgelist_multigraph_detection(tmp_path):
