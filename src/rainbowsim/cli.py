@@ -242,7 +242,8 @@ def _run_suite(name, reps, seed, threads, n_override=None):
         params = (("m", 1000), ("t", 50))
     elif name == "double-bridge":
         rows, checks = exps.exp_min_double_bridge((10, 100, 1000), reps, seed)
-        params = (("t_grid", "10/100/1000"), ("m_factor", 100))
+        params = (("t_grid", "10/100/1000"),
+                  ("m_factor", exps.DOUBLE_BRIDGE_M_FACTOR))
     elif name == "borel":
         m = n_override if n_override is not None else 10 ** 5
         rows, checks = exps.exp_tree_size_law(m, max(m // 100, 2), reps, seed)

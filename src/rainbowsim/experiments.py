@@ -205,12 +205,15 @@ def min_double_bridge_samples(m, t, reps, seed, stream=0):
     return [sampler.draw(gen) for _ in range(reps)]
 
 
-def exp_min_double_bridge(t_grid, reps, seed, m_factor=100):
+DOUBLE_BRIDGE_M_FACTOR = 100
+
+
+def exp_min_double_bridge(t_grid, reps, seed):
     """Normalised mean of the smaller bridge number of an edge pair, per t."""
     rows, checks = [], []
     normalised = []
     for idx, t in enumerate(t_grid):
-        m = m_factor * t
+        m = DOUBLE_BRIDGE_M_FACTOR * t
         vals = min_double_bridge_samples(m, t, reps, seed, stream=idx)
         mean, std = _mean_std(vals)
         ref = m / t

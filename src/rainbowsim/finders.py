@@ -131,21 +131,27 @@ def _spanning_edges(g: ColouredGraph, edge_ids) -> np.ndarray:
     return np.sort(tree.data.astype(np.int64) - 1)
 
 
-def _largest_piece(g: ColouredGraph, verts, edge_ids):
-    """Largest component of the subgraph with vertex set ``verts`` (sorted)
-    and edges ``edge_ids`` (both ends in ``verts``); ties go to the piece
-    holding the smallest vertex.
+def _rainbow_piece(g: ColouredGraph, verts, edge_ids):
+    """The rainbow step both tree finders share.
 
-    Runs on local ids 0..len(verts)-1. Returns the piece as a mask over
-    ``verts`` and as a mask over ``edge_ids``.
+    Drops the edges whose colour repeats among ``edge_ids``, then takes the
+    largest component of what is left on the vertex set ``verts`` (sorted;
+    every edge has both ends in it); ties go to the piece holding the
+    smallest vertex. Runs on local ids 0..len(verts)-1. Returns the piece
+    as a mask over ``verts``, its edge ids, its spanning edges and the
+    number of edges dropped for a repeated colour.
     """
-    k = len(edge_ids)
-    ends = np.searchsorted(verts, np.concatenate([g.u[edge_ids], g.v[edge_ids]]))
+    cols = g.colour[edge_ids]
+    keep = edge_ids[np.bincount(cols)[cols] == 1]
+    k = keep.size
+    ends = np.searchsorted(verts, np.concatenate([g.u[keep], g.v[keep]]))
     sub = ColouredGraph._trusted(len(verts), 0, ends[:k], ends[k:],
                                  np.zeros(k, dtype=np.int64), True)
     part = connected_components(sub)
     in_piece = part.labels == part.largest_id()
-    return in_piece, in_piece[ends[:k]]
+    piece_edges = keep[in_piece[ends[:k]]]
+    return (in_piece, piece_edges, _spanning_edges(g, piece_edges),
+            len(edge_ids) - k)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +169,8 @@ def subcritical_rainbow_tree(g: ColouredGraph) -> np.ndarray:
     part = connected_components(g)
     in_t = part.labels == part.largest_id()
     # the largest component is whole: an edge with one end in it lies in it
-    t_edges = np.flatnonzero(in_t[g.u])
-    if t_edges.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    cols = g.colour[t_edges]
-    counts = np.bincount(cols)
-    keep = t_edges[counts[cols] == 1]
-    # largest surviving piece among kept edges plus isolated vertices
-    _, keep_in_piece = _largest_piece(g, np.flatnonzero(in_t), keep)
-    out = _spanning_edges(g, keep[keep_in_piece])
+    _, _, out, _ = _rainbow_piece(g, np.flatnonzero(in_t),
+                                  np.flatnonzero(in_t[g.u]))
     _assert_rainbow_tree(g, out)
     return out
 
@@ -203,18 +202,10 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     unicyclic = np.flatnonzero(uni[part.labels])
 
     decomp = core_forest_decomposition(g, giant, unicyclic)
-    core_edges = decomp.core_edges
-    core_cols = g.colour[core_edges]
-    col_counts = np.bincount(core_cols)
-    dup_mask = col_counts[core_cols] >= 2
-    r_edges = core_edges[dup_mask]
-    kept_core_edges = core_edges[~dup_mask]
-
-    # largest component of core minus duplicate-coloured edges; forest roots
-    # are the core vertices in the same order, so its mask marks kept roots
-    root_in_hat, hat_edge_mask = _largest_piece(g, decomp.core_vertices,
-                                                kept_core_edges)
-    hat_edge_ids = kept_core_edges[hat_edge_mask]
+    # forest roots are the core vertices in the same order, so the piece's
+    # mask marks the kept roots
+    root_in_hat, hat_edge_ids, hat_tree, repeated = _rainbow_piece(
+        g, decomp.core_vertices, decomp.core_edges)
     # kept core edges carry pairwise distinct colours
     z_cols = g.colour[hat_edge_ids]
 
@@ -256,15 +247,14 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     keep_w = w_all[(cuts_above[t:] == 0) & root_in_hat[root[t:]]]
     kept_forest_edges = f_edge_ids[keep_w - t]
 
-    hat_tree = _spanning_edges(g, hat_edge_ids)
     out = np.concatenate([hat_tree, np.sort(kept_forest_edges)])
 
     hat_order = int(root_in_hat.sum())
     kept_vertex_count = hat_order + int(keep_w.size)
     report = PipelineReport(
         core_order=int(decomp.core_vertices.size),
-        core_size=int(core_edges.size),
-        non_unique_core_edges=int(r_edges.size),
+        core_size=int(decomp.core_edges.size),
+        non_unique_core_edges=repeated,
         hat_core_order=hat_order,
         colour_set_size=int(z_cols.size),
         deleted_shared_colour=x1,
@@ -391,7 +381,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             stack.append(root)
             if 1 > best_len:
                 best_len, best_top = 1, root
-            if faithful and target is not None and len(stack) >= target:
+            if faithful and len(stack) >= target:
                 stop = "target"
                 break
             continue
@@ -441,15 +431,13 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             if par_in[v] >= 0:
                 lset.discard(hcol[pos_in[v]])
 
-    if stop == "target":
-        path = stack[:]
-    else:
-        path = []
-        x = best_top
-        while x >= 0:
-            path.append(x)
-            x = par_in[x]
-        path.reverse()
+    # at a target stop the stack is the longest path, so this walk gives it
+    path = []
+    x = best_top
+    while x >= 0:
+        path.append(x)
+        x = par_in[x]
+    path.reverse()
     path_edges = eid[[pos_in[x] for x in path[1:]]].tolist()
     trace = ExplorationTrace(queries=queries, accepted=accepted,
                              stop_reason=stop, path=path, path_edges=path_edges)
@@ -604,10 +592,10 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
 def _path_colours(g: ColouredGraph, path):
     """Colour of each consecutive path edge, in one pass over the edges.
 
-    Step (a, b) takes the lowest-id edge stored as (a, b), else the
-    lowest-id edge stored as (b, a): the one a lookup in the sorted
-    adjacency of a finds first. Raises ValueError when a step is not an
-    edge or the path repeats a vertex.
+    g must be simple, so a step is at most one edge, and every step is an
+    edge exactly when the edges joining consecutive path vertices are as
+    many as the steps. Raises ValueError when a step is not an edge or the
+    path repeats a vertex.
     """
     p = np.asarray(path, dtype=np.int64)
     if p.size < 2:
@@ -618,15 +606,11 @@ def _path_colours(g: ColouredGraph, path):
     if (pos[p] != at).any():
         raise ValueError("path repeats a vertex")
     pu, pv = pos[g.u], pos[g.v]
-    picks = []
-    for first, second in ((pu, pv), (pv, pu)):
-        ids = np.flatnonzero((first >= 0) & (second == first + 1))
-        pick = np.full(p.size - 1, g.m, dtype=np.int64)
-        np.minimum.at(pick, first[ids], ids)
-        picks.append(pick)
-    eid = np.where(picks[0] < g.m, picks[0], picks[1])
-    if (eid == g.m).any():
+    ids = np.flatnonzero((pu >= 0) & (pv >= 0) & (np.abs(pu - pv) == 1))
+    if ids.size != p.size - 1:
         raise ValueError("path step is not an edge of the graph")
+    eid = np.empty_like(ids)
+    eid[np.minimum(pu[ids], pv[ids])] = ids
     return g.colour[eid].tolist()
 
 

@@ -388,7 +388,6 @@ class CoreDecomposition:
     forest: RootedForest
     forest_labels: np.ndarray
     forest_edge_ids: np.ndarray
-    unicyclic_vertices: np.ndarray
 
 
 def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecomposition:
@@ -461,8 +460,7 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
                              core_edges=s_edges[emask],
                              forest=forest,
                              forest_labels=s_verts[np.concatenate([core, non_core])],
-                             forest_edge_ids=edge_ids,
-                             unicyclic_vertices=unicyclic)
+                             forest_edge_ids=edge_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter, deque
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from rainbowsim.finders import (ExplorationTrace, InvalidDeltaError,
                                 rdfs_longest_path, sprinkle_close_cycle,
                                 subcritical_rainbow_tree,
                                 supercritical_rainbow_tree, _assert_rainbow_tree,
-                                _Fenwick, _largest_piece, _path_colours,
+                                _Fenwick, _path_colours, _rainbow_piece,
                                 _require_coloured, _require_simple,
                                 _spanning_edges)
 from rainbowsim.graphs import (ColouredGraph, EmptyCoreError, adjacency,
@@ -65,6 +66,64 @@ def test_assert_rainbow_tree_rejects(edge_ids, message):
                                      (1, 3, 1)], c=6)
     with pytest.raises(AssertionError, match=message):
         _assert_rainbow_tree(g, edge_ids)
+
+
+# the piece step of both tree finders before _rainbow_piece, kept verbatim
+# for the references below
+def _largest_piece(g: ColouredGraph, verts, edge_ids):
+    """Largest component of the subgraph with vertex set ``verts`` (sorted)
+    and edges ``edge_ids`` (both ends in ``verts``); ties go to the piece
+    holding the smallest vertex.
+
+    Runs on local ids 0..len(verts)-1. Returns the piece as a mask over
+    ``verts`` and as a mask over ``edge_ids``.
+    """
+    k = len(edge_ids)
+    ends = np.searchsorted(verts, np.concatenate([g.u[edge_ids], g.v[edge_ids]]))
+    sub = ColouredGraph._trusted(len(verts), 0, ends[:k], ends[k:],
+                                 np.zeros(k, dtype=np.int64), True)
+    part = connected_components(sub)
+    in_piece = part.labels == part.largest_id()
+    return in_piece, in_piece[ends[:k]]
+
+
+# ---------------------------------------------------------------------------
+# the rainbow step both tree finders share
+
+def test_rainbow_piece_every_colour_repeated():
+    # nothing survives, so the piece is the smallest vertex alone
+    g = ColouredGraph.from_edges(8, [(2, 5, 1), (5, 7, 1), (7, 2, 2),
+                                     (2, 7, 2)], c=2, multigraph=True)
+    in_piece, edges, tree, repeated = _rainbow_piece(
+        g, np.array([2, 5, 7]), np.arange(4))
+    assert in_piece.tolist() == [True, False, False]
+    assert edges.tolist() == [] and tree.tolist() == []
+    assert repeated == 4
+
+
+def test_rainbow_piece_tie_goes_to_the_smaller_vertex():
+    # two pieces of two vertices; the one holding vertex 0 wins, whatever
+    # the edge ids
+    g = ColouredGraph.from_edges(4, [(3, 2, 1), (1, 0, 2)], c=2)
+    in_piece, edges, tree, repeated = _rainbow_piece(g, np.arange(4),
+                                                     np.arange(2))
+    assert in_piece.tolist() == [True, True, False, False]
+    assert edges.tolist() == [1] and tree.tolist() == [1]
+    assert repeated == 0
+
+
+def test_rainbow_piece_keeps_unique_loops_and_parallel_pairs():
+    # a loop and a parallel pair with unique colours stay in the piece; its
+    # spanning edges keep the pair's lower id and drop the loop
+    g = ColouredGraph.from_edges(4, [(1, 1, 1), (0, 1, 2), (1, 0, 3),
+                                     (1, 2, 4), (2, 3, 4)], c=4,
+                                 multigraph=True)
+    in_piece, edges, tree, repeated = _rainbow_piece(g, np.arange(4),
+                                                     np.arange(5))
+    assert in_piece.tolist() == [True, True, False, False]
+    assert edges.tolist() == [0, 1, 2]
+    assert tree.tolist() == [1]
+    assert repeated == 2
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +438,10 @@ def level_loop_supercritical_rainbow_tree(g: ColouredGraph):
 
 
 @st.composite
-def supercritical_inputs(draw):
-    """Coloured G(n, p) around and above the phase transition, or a coloured
-    configuration multigraph with loops and parallel edges."""
+def tree_finder_inputs(draw):
+    """Coloured G(n, p) around the phase transition, or a coloured
+    configuration multigraph with loops, parallel edges and isolated
+    vertices."""
     gen = RngStream(draw(st.integers(0, 2 ** 32 - 1))).generator()
     if draw(st.booleans()):
         n = draw(st.integers(0, 400))
@@ -393,7 +453,7 @@ def supercritical_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(supercritical_inputs())
+@given(tree_finder_inputs())
 def test_supercritical_matches_level_loop_reference(g):
     try:
         want, want_report = level_loop_supercritical_rainbow_tree(g)
@@ -405,6 +465,43 @@ def test_supercritical_matches_level_loop_reference(g):
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
     assert report == want_report
+
+
+def reference_subcritical_rainbow_tree(g: ColouredGraph) -> np.ndarray:
+    """subcritical_rainbow_tree before the shared rainbow step, kept
+    verbatim as the reference.
+
+    Rainbow tree inside the largest component by duplicate-colour deletion.
+
+    All edges whose colour repeats within the largest component are dropped;
+    the spanning tree of the largest surviving piece is returned (edge ids).
+    """
+    _require_coloured(g)
+    if g.n == 0:
+        return np.zeros(0, dtype=np.int64)
+    part = connected_components(g)
+    in_t = part.labels == part.largest_id()
+    # the largest component is whole: an edge with one end in it lies in it
+    t_edges = np.flatnonzero(in_t[g.u])
+    if t_edges.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    cols = g.colour[t_edges]
+    counts = np.bincount(cols)
+    keep = t_edges[counts[cols] == 1]
+    # largest surviving piece among kept edges plus isolated vertices
+    _, keep_in_piece = _largest_piece(g, np.flatnonzero(in_t), keep)
+    out = _spanning_edges(g, keep[keep_in_piece])
+    _assert_rainbow_tree(g, out)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_finder_inputs())
+def test_subcritical_matches_reference(g):
+    want = reference_subcritical_rainbow_tree(g)
+    got = subcritical_rainbow_tree(g)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1190,24 +1287,28 @@ def sorted_lookup_colours(g, path):
     return out
 
 
-def test_path_colours_parallel_edge_tie_rule():
-    # lowest id stored in the step's direction, else lowest id stored reversed
-    edges = [(1, 0, 1), (0, 1, 2), (0, 1, 3), (2, 1, 4), (1, 2, 5),
-             (3, 2, 6), (3, 2, 7)]
-    g = ColouredGraph.from_edges(4, edges, c=7, multigraph=True)
-    assert _path_colours(g, [0, 1, 2, 3]) == [2, 5, 6]
-    assert _path_colours(g, [3, 2, 1, 0]) == [6, 4, 1]
-    for path in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0], [2, 3]):
+def test_path_colours_fixed_cases():
+    # steps stored in either direction, beside edges off the path
+    edges = [(1, 0, 1), (0, 2, 2), (1, 2, 3), (3, 2, 4), (1, 3, 5)]
+    g = ColouredGraph.from_edges(4, edges, c=5)
+    assert _path_colours(g, [0, 1, 2, 3]) == [1, 3, 4]
+    assert _path_colours(g, [3, 2, 1, 0]) == [4, 3, 1]
+    for path in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0], [2, 3], [0, 2, 3, 1]):
         assert _path_colours(g, path) == sorted_lookup_colours(g, path)
     assert _path_colours(g, [2]) == []
+    assert _path_colours(g, []) == []
     with pytest.raises(ValueError, match="not an edge"):
-        _path_colours(g, [0, 2])
+        _path_colours(g, [0, 3])
+    with pytest.raises(ValueError, match="not an edge"):
+        _path_colours(g, [1, 0, 3, 2])     # only the middle step is missing
     with pytest.raises(ValueError, match="repeats a vertex"):
         _path_colours(g, [0, 1, 0])
 
 
 @st.composite
-def multigraphs_with_paths(draw):
+def simple_graphs_with_paths(draw):
+    """A simple graph holding a path, its steps stored in either direction,
+    among extra edges in any order."""
     n = draw(st.integers(2, 10))
     path = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
     vertex = st.integers(0, n - 1)
@@ -1216,17 +1317,84 @@ def multigraphs_with_paths(draw):
                           max_size=len(path) - 1))
     steps = [(b, a) if f else (a, b)
              for (a, b), f in zip(zip(path[:-1], path[1:]), flips)]
-    edges = draw(st.permutations(extra + steps))
-    triples = [(a, b, i + 1) for i, (a, b) in enumerate(edges)]
-    g = ColouredGraph.from_edges(n, triples, c=len(triples), multigraph=True)
+    simple = {}
+    for a, b in draw(st.permutations(steps + extra)):
+        if a != b:
+            simple.setdefault((min(a, b), max(a, b)), (a, b))
+    triples = [(a, b, i + 1) for i, (a, b) in enumerate(simple.values())]
+    g = ColouredGraph.from_edges(n, triples, c=len(triples))
     return g, list(path)
 
 
 @settings(max_examples=300, deadline=None)
-@given(multigraphs_with_paths())
+@given(simple_graphs_with_paths())
 def test_path_colours_matches_sorted_lookup(case):
     g, path = case
     assert _path_colours(g, path) == sorted_lookup_colours(g, path)
+
+
+# ---------------------------------------------------------------------------
+# all four finders against the exact oracle
+
+@st.composite
+def small_coloured_graphs(draw):
+    """Coloured graphs of at most 16 edges: simple ones, or configuration
+    multigraphs with loops, parallel edges and isolated vertices."""
+    c = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        pairs = []
+        if n > 1:
+            vertex = st.integers(0, n - 1)
+            pairs = draw(st.lists(
+                st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                max_size=16, unique_by=lambda e: (min(e), max(e))))
+        cols = draw(st.lists(st.integers(1, c), min_size=len(pairs),
+                             max_size=len(pairs)))
+        return ColouredGraph.from_edges(n, [(a, b, col) for (a, b), col
+                                            in zip(pairs, cols)], c=c)
+    degs = draw(st.lists(st.integers(0, 4), max_size=8))
+    gen = RngStream(draw(st.integers(0, 2 ** 32 - 1))).generator()
+    g = sample_configuration(degs + [sum(degs) % 2], gen)
+    return colour_uniform(g, c, gen)
+
+
+def check_rainbow_tree(g, edge_ids):
+    """Independent of the finders' own assert: distinct colours, and the
+    edges (loops and parallel pairs included) form one tree."""
+    ids = [int(e) for e in edge_ids]
+    assert len({int(g.colour[e]) for e in ids}) == len(ids)
+    if ids:
+        tree = nx.MultiGraph()
+        tree.add_edges_from((int(g.u[e]), int(g.v[e])) for e in ids)
+        assert nx.is_tree(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coloured_graphs())
+def test_finders_stay_within_the_exact_optimum(g):
+    best = exact_max_rainbow_tree(g).size
+    sub = subcritical_rainbow_tree(g)
+    check_rainbow_tree(g, sub)
+    assert sub.size <= best
+    try:
+        sup, report = supercritical_rainbow_tree(g)
+    except EmptyCoreError:
+        pass
+    else:
+        check_rainbow_tree(g, sup)
+        assert sup.size <= best
+        assert report.final_tree_order == sup.size + 1
+    tree = rbfs_forest(g, mode="greedy").tree_edges
+    check_rainbow_tree(g, tree)
+    assert len(tree) <= best
+    trace = rdfs_longest_path(g, mode="greedy")
+    path, edges = trace.path, trace.path_edges
+    assert len(set(path)) == len(path) == min(g.n, len(edges) + 1)
+    for a, b, e in zip(path, path[1:], edges):
+        assert {a, b} == {int(g.u[e]), int(g.v[e])}
+    assert len({int(g.colour[e]) for e in edges}) == len(edges)
+    assert len(edges) <= best
 
 
 # ---------------------------------------------------------------------------
