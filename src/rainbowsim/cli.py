@@ -197,7 +197,7 @@ def cmd_find(args) -> int:
                 record["accepted"] = trace.accepted
                 record["stop_reason"] = trace.stop_reason
                 record["path"] = trace.path
-            elif args.finder == "rbfs":
+            else:  # rbfs: argparse's choices refuse any other finder
                 trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
                                     mode=args.mode, eps=args.eps,
                                     rng=RngStream(args.seed, 1))
@@ -206,8 +206,6 @@ def cmd_find(args) -> int:
                 record["accepted"] = trace.accepted
                 record["stop_reason"] = trace.stop_reason
                 record["edges"] = sorted(int(e) for e in trace.tree_edges)
-            else:
-                _usage_error(f"unknown finder {args.finder}")
     except EmptyCoreError as exc:
         sys.stderr.write(f"EmptyCore: {exc}\n")
         return EXIT_STRUCTURAL
@@ -258,13 +256,11 @@ def _run_suite(name, reps, seed, threads, n_override=None):
         rows, checks = exps.exp_giant_benchmark(n, 2.0, reps, seed,
                                                 threads=threads)
         params = (("n", n), ("d", 2.0))
-    elif name == "cycle":
+    else:  # cycle: cmd_experiment refuses any other suite
         n = n_override if n_override is not None else 10 ** 5
         rows, checks = exps.exp_cycle(n, n, 129.0, 0.5, reps, seed,
                                       threads=threads)
         params = (("n", n), ("c", n), ("d", 129.0), ("delta", 0.5))
-    else:
-        raise ValueError(name)
     config = ExperimentConfig(name=name, reps=reps, seed=seed, params=params)
     return config, rows, checks
 

@@ -117,8 +117,6 @@ def _spanning_edges(g: ColouredGraph, edge_ids) -> np.ndarray:
     """
     ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
     ids = ids[g.u[ids] != g.v[ids]]
-    if ids.size == 0:
-        return ids
     lo = np.minimum(g.u[ids], g.v[ids])
     hi = np.maximum(g.u[ids], g.v[ids])
     _, first = np.unique(lo * g.n + hi, return_index=True)
@@ -164,8 +162,6 @@ def subcritical_rainbow_tree(g: ColouredGraph) -> np.ndarray:
     the spanning tree of the largest surviving piece is returned (edge ids).
     """
     _require_coloured(g)
-    if g.n == 0:
-        return np.zeros(0, dtype=np.int64)
     part = connected_components(g)
     in_t = part.labels == part.largest_id()
     # the largest component is whole: an edge with one end in it lies in it
@@ -359,7 +355,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     stack: list[int] = []
     par_in = [-1] * n
     pos_in = [-1] * n               # half-edge that discovered each vertex
-    aptr = iptr[:-1].copy() if n else []
+    aptr = iptr[:-1]
     cursor = [-1] * n
     lset: set[int] = set()
     queries = 0
@@ -367,69 +363,52 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     best_len = 0
     best_top = -1
     root = 0                        # roots only grow: each is the least unvisited id
-    stop = None
 
-    while stop is None:
-        if not stack:
-            if ucount == 0:
-                stop = "exhausted"
-                break
-            root = state.find(0, root)
-            state[root] = 1
-            fen.add(root, -1)
-            ucount -= 1
-            stack.append(root)
-            if 1 > best_len:
-                best_len, best_top = 1, root
-            if faithful and len(stack) >= target:
-                stop = "target"
-                break
-            continue
-        v = stack[-1]
-        p = aptr[v]
-        end = iptr[v + 1]
-        found = -1
-        while p < end:
-            u = nbr_v[p]
-            if state[u] == 0 and hcol[p] not in lset:
-                found = p
-                break
-            p += 1
-        if found >= 0:
-            u = nbr_v[found]
-            q = fen.rank(u) - fen.rank(cursor[v])
+    while True:
+        if stack:
+            v = stack[-1]
+            p = aptr[v]
+            end = iptr[v + 1]
+            while p < end:
+                u = nbr_v[p]
+                if state[u] == 0 and hcol[p] not in lset:
+                    break
+                p += 1
+            # pairs (v, w) queried now: the unvisited w above cursor[v], up to
+            # u, or all of them when v accepts nothing more
+            q = (fen.rank(u) if p < end else ucount) - fen.rank(cursor[v])
             if faithful and queries + q > budget:
                 queries = budget
                 stop = "budget"
                 break
             queries += q
+            if p == end:
+                stack.pop()
+                state[v] = 2
+                if par_in[v] >= 0:
+                    lset.discard(hcol[pos_in[v]])
+                continue
             accepted += 1
             cursor[v] = u
-            aptr[v] = found + 1
-            state[u] = 1
-            fen.add(u, -1)
-            ucount -= 1
+            aptr[v] = p + 1
             par_in[u] = v
-            pos_in[u] = found
-            lset.add(hcol[found])
-            stack.append(u)
-            if len(stack) > best_len:
-                best_len, best_top = len(stack), u
-            if faithful and len(stack) >= target:
-                stop = "target"
+            pos_in[u] = p
+            lset.add(hcol[p])
+        elif ucount:
+            u = root = state.find(0, root)
         else:
-            q = ucount - fen.rank(cursor[v])
-            if faithful and queries + q > budget:
-                queries = budget
-                stop = "budget"
-                break
-            queries += q
-            aptr[v] = end
-            cursor[v] = n
-            stack.pop()
-            state[v] = 2
-            if par_in[v] >= 0:
-                lset.discard(hcol[pos_in[v]])
+            stop = "exhausted"
+            break
+        # u joins the path, as a new root or as the accepted neighbour of v
+        state[u] = 1
+        fen.add(u, -1)
+        ucount -= 1
+        stack.append(u)
+        if len(stack) > best_len:
+            best_len, best_top = len(stack), u
+        if faithful and len(stack) >= target:
+            stop = "target"
+            break
 
     # at a target stop the stack is the longest path, so this walk gives it
     path = []

@@ -8,7 +8,6 @@ colour 0 marks an uncoloured edge and is only legal when c == 0.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -183,8 +182,9 @@ class VertexPartition:
 
     def largest_id(self) -> int:
         """Id of the largest component; ties go to the smallest id."""
-        # labels are vertex ids, and argmax takes the first maximum
-        return int(np.bincount(self.labels).argmax())
+        # labels are vertex ids, and argmax takes the first maximum; with no
+        # vertices the id is 0
+        return int(np.bincount(self.labels, minlength=1).argmax())
 
     def largest_vertices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == self.largest_id())
@@ -192,10 +192,6 @@ class VertexPartition:
 
 def connected_components(g: ColouredGraph) -> VertexPartition:
     """Connected components with deterministic smallest-vertex labels."""
-    if g.m == 0:
-        labels = np.arange(g.n, dtype=np.int64)
-        return VertexPartition(n=g.n, labels=labels,
-                               sizes_desc=np.ones(g.n, dtype=np.int64))
     data = np.ones(g.m, dtype=np.int8)
     mat = coo_matrix((data, (g.u, g.v)), shape=(g.n, g.n))
     ncomp, raw = _scipy_cc(mat, directed=False)
@@ -214,8 +210,6 @@ def _peel_masks(g: ColouredGraph):
     removed, so the whole peel is O(m log m) rather than O(n) per round.
     """
     n = g.n
-    if g.m == 0:
-        return np.zeros(n, dtype=bool), np.zeros(0, dtype=bool)
     deg = g.degrees()
     alive = np.ones(n, dtype=bool)
     indptr, nbr, _ = adjacency(g)
@@ -317,12 +311,10 @@ def subtree_sizes(f: RootedForest) -> np.ndarray:
         raise ValueError("not a forest")
     m = f.m
     sizes = np.ones(m, dtype=np.int64)
-    if m == 0:
-        return sizes
     order = np.argsort(depth, kind="stable")
     # accumulate level by level, deepest first; same-depth vertices never
     # parent each other so np.add.at per level is safe
-    maxd = int(depth.max())
+    maxd = int(depth.max(initial=0))
     bounds = np.searchsorted(depth[order], np.arange(maxd + 2))
     for d in range(maxd, 0, -1):
         vs = order[bounds[d]:bounds[d + 1]]
@@ -494,21 +486,17 @@ def read_edgelist(path) -> ColouredGraph:
         if len(head) < 2:
             raise ValueError("edge list header must be `n c`")
         n, c = int(head[0]), int(head[1])
-        first = fh.readline()
-        while first.isspace():
-            first = fh.readline()
-        if first:
-            # numpy releases with loadtxt's deprecated float fallback parse a
-            # field such as `1.5` as a float and truncate it under a
-            # DeprecationWarning; made an error, whatever the caller's
-            # filters, it becomes loadtxt's "could not convert" ValueError
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                body = np.loadtxt(itertools.chain([first], fh), dtype=np.int64,
-                                  ndmin=2, comments=None, usecols=(0, 1, 2))
-        else:
-            # no edge lines (loadtxt would warn on the empty input)
-            body = np.zeros((0, 3), dtype=np.int64)
+        # numpy releases with loadtxt's deprecated float fallback parse a
+        # field such as `1.5` as a float and truncate it under a
+        # DeprecationWarning; made an error, whatever the caller's filters,
+        # it becomes loadtxt's "could not convert" ValueError. A body with
+        # no edge lines gives a (0, 3) array, and its warning says nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.filterwarnings("ignore",
+                                    message="loadtxt: input contained no data")
+            body = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None,
+                              usecols=(0, 1, 2))
     u, v, col = (np.ascontiguousarray(x) for x in body.T)
     _check_arrays(n, c, u, v, col)
     multi = _multi_edges(n, u, v) is not None

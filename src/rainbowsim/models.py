@@ -109,7 +109,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
         idx = pos + np.cumsum(gaps)
         pos = int(idx[-1])
         chunks.append(idx[idx < total])
-    k = np.concatenate(chunks) if chunks else empty
+    k = np.concatenate(chunks)
     u, v = _decode_pair_index(k)
     return ColouredGraph._trusted(n, 0, u, v, np.zeros(len(k), dtype=np.int64))
 

@@ -143,8 +143,9 @@ def test_subcritical_duplicate_colours_split_path():
 
 
 def test_subcritical_empty_graph():
-    g = ColouredGraph.from_edges(3, [], c=1)
-    assert subcritical_rainbow_tree(g).size == 0
+    for n in (0, 3):
+        tree = subcritical_rainbow_tree(ColouredGraph.from_edges(n, [], c=1))
+        assert tree.dtype == np.int64 and tree.size == 0
 
 
 def naive_duplicate_deletion(g):
@@ -1018,6 +1019,12 @@ def test_spanning_edges_parallel_pair_keeps_lower_id():
     assert _spanning_edges(g, []).tolist() == []
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_spanning_edges_without_edges(n):
+    got = _spanning_edges(ColouredGraph.from_edges(n, [], c=1), [])
+    assert got.dtype == np.int64 and got.size == 0
+
+
 def trace_fields(trace):
     return (trace.queries, trace.accepted, trace.stop_reason, trace.path,
             trace.path_edges, trace.tree_edges)
@@ -1081,10 +1088,19 @@ def test_explorer_edges_are_ints_carrying_the_path_colours(g, delta):
 @pytest.mark.parametrize("n", [0, 5])
 def test_explorers_without_edges(n):
     g = ColouredGraph.from_edges(n, [], c=3)
-    for kwargs in ({"mode": "greedy"}, {"mode": "faithful", "delta": 0.5}):
+    # (queries, stop_reason) per RDFS run; at n = 5 greedy queries every
+    # later vertex from each root, 4 + 3 + 2 + 1, and the faithful budget
+    # ceil(0.5^2 * 3 * 5 / 8) = 1 ends the first backtrack
+    rdfs_stops = {0: [(0, "exhausted")] * 3,
+                  5: [(10, "exhausted"), (1, "budget"), (0, "target")]}[n]
+    for kwargs, (queries, stop) in zip(
+            ({"mode": "greedy"}, {"mode": "faithful", "delta": 0.5},
+             {"mode": "faithful", "delta": 0.5, "target_order": 1}),
+            rdfs_stops):
         trace = rdfs_longest_path(g, **kwargs)
         assert trace.path == [0][:n] and trace.path_edges == []
-        assert trace.accepted == 0
+        assert (trace.queries, trace.accepted, trace.stop_reason) == \
+            (queries, 0, stop)
     trace = rbfs_forest(g, mode="greedy")
     assert trace.tree_edges == [] and trace.accepted == 0
     assert trace.stop_reason == "exhausted"

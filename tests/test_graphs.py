@@ -160,14 +160,14 @@ def test_read_edgelist_whitespace_grammar(tmp_path, body):
         assert a.dtype == np.int64 and a.flags.c_contiguous
 
 
-@pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n"])
+@pytest.mark.parametrize("body", ["", "\n", "\n  \n\t\n", "\r\n\r\n", "  "])
 def test_read_edgelist_header_only(tmp_path, body):
     path = tmp_path / "empty.edges"
-    path.write_text("4 2\n" + body)
+    path.write_bytes(b"4 2\n" + body.encode("ascii"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = read_edgelist(path)
-    assert (g.n, g.c, g.m) == (4, 2, 0)
+    assert (g.n, g.c, g.m, g.multigraph) == (4, 2, 0, False)
     for a in (g.u, g.v, g.colour):
         assert a.dtype == np.int64
 
@@ -299,10 +299,11 @@ def test_adjacency_matches_lexsort_reference_on_large_ids(n, m):
 # connected components
 
 def test_components_empty_graph():
-    g = ColouredGraph.from_edges(3, [], c=0)
-    part = connected_components(g)
-    assert sorted(part.labels.tolist()) == [0, 1, 2]
-    assert part.sizes_desc.tolist() == [1, 1, 1]
+    for n in (0, 3):
+        part = connected_components(ColouredGraph.from_edges(n, [], c=0))
+        assert part.labels.tolist() == list(range(n))
+        assert part.sizes_desc.tolist() == [1] * n
+        assert part.labels.dtype == part.sizes_desc.dtype == np.int64
 
 
 def test_components_path_plus_isolated():
@@ -375,6 +376,7 @@ def test_components_match_networkx(g):
     # tie between {4, 5, 6} and {1, 2, 3}, with a parallel pair and a loop
     (7, [(5, 6), (6, 4), (4, 5), (2, 3), (3, 2), (1, 3), (1, 1)], 1),
     (5, [(0, 1), (2, 3), (3, 4)], 2),                   # larger one wins
+    (0, [], 0),                                         # no vertices
 ])
 def test_largest_id_ties_go_to_smallest_id(n, edges, want):
     g = ColouredGraph.from_edges(n, [(a, b, 0) for a, b in edges],
@@ -388,6 +390,18 @@ def test_largest_id_ties_go_to_smallest_id(n, edges, want):
 def test_two_core_of_tree_is_empty():
     g = ColouredGraph.from_edges(5, [(0, 1, 1), (1, 2, 2), (1, 3, 3), (3, 4, 1)], c=3)
     assert two_core(g).m == 0
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_two_core_without_edges(n):
+    g = ColouredGraph.from_edges(n, [], c=2)
+    vmask, emask = _peel_masks(g)
+    assert vmask.dtype == emask.dtype == bool
+    assert vmask.tolist() == [False] * n and emask.size == 0
+    core = two_core(g)
+    assert (core.n, core.c, core.m) == (n, 2, 0)
+    for a in (core.u, core.v, core.colour):
+        assert a.dtype == np.int64
 
 
 def test_two_core_of_cycle_is_itself():
@@ -669,9 +683,14 @@ def test_forest_depths_out_of_range_parent():
 
 
 def test_subtree_sizes_total():
-    f = RootedForest(m=6, t=2, parent=np.array([-1, -1, 0, 0, 2, 1]))
-    sizes = subtree_sizes(f)
-    assert sizes.tolist() == [4, 2, 2, 1, 1, 1]
+    for parent, want in (([-1, -1, 0, 0, 2, 1], [4, 2, 2, 1, 1, 1]),
+                         ([-1, -1, -1], [1, 1, 1]),     # roots only
+                         ([], [])):                     # no vertices
+        m, t = len(parent), parent.count(-1)
+        f = RootedForest(m=m, t=t, parent=np.array(parent, dtype=np.int64))
+        sizes = subtree_sizes(f)
+        assert sizes.dtype == np.int64
+        assert sizes.tolist() == want
 
 
 def chain_walk_depths(f):
