@@ -120,20 +120,14 @@ def cmd_gen(args) -> int:
         _echo({"command": "gen", "model": "config", "degrees": degs,
                "c": args.c, "seed": args.seed, "out": args.out})
         g = sample_configuration(seq, rng)
-        if args.c and args.c >= 1:
-            g = colour_uniform(g, args.c, rng)
-        write_edgelist(g, args.out)
-        part = connected_components(g)
-        print(f"n={g.n} edges={g.m} components={len(part.sizes_desc)}")
-        return EXIT_OK
-    if args.n is None or args.c is None or (args.p is None and args.eps is None and args.d is None):
-        _usage_error("gen requires --n, --c and one of --p/--eps/--d")
-    p = _resolve_p(args)
-    config = {"command": "gen", "n": args.n, "p": p, "c": args.c,
-              "seed": args.seed, "out": args.out}
-    _echo(config)
-    g = sample_gnp(args.n, p, rng)
-    if args.c >= 1:
+    else:
+        if args.n is None or args.c is None or (args.p is None and args.eps is None and args.d is None):
+            _usage_error("gen requires --n, --c and one of --p/--eps/--d")
+        p = _resolve_p(args)
+        _echo({"command": "gen", "n": args.n, "p": p, "c": args.c,
+               "seed": args.seed, "out": args.out})
+        g = sample_gnp(args.n, p, rng)
+    if args.c:                      # None (config only) or a count >= 0
         g = colour_uniform(g, args.c, rng)
     write_edgelist(g, args.out)
     part = connected_components(g)
@@ -201,7 +195,7 @@ def cmd_find(args) -> int:
                 trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
                                     mode=args.mode, eps=args.eps,
                                     rng=RngStream(args.seed, 1))
-                record["order"] = trace.order
+                record["order"] = trace.order if g.n else 0
                 record["queries"] = trace.queries
                 record["accepted"] = trace.accepted
                 record["stop_reason"] = trace.stop_reason

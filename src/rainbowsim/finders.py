@@ -77,13 +77,13 @@ class ExplorationTrace:
     def order(self) -> int:
         if self.path is not None:
             return len(self.path)
-        return len(self.tree_edges) + 1 if self.tree_edges is not None else 0
+        return len(self.tree_edges) + 1
 
     @property
     def length(self) -> int:
         if self.path is not None:
             return max(len(self.path) - 1, 0)
-        return len(self.tree_edges) if self.tree_edges is not None else 0
+        return len(self.tree_edges)
 
 
 def _require_coloured(g: ColouredGraph) -> None:
@@ -288,10 +288,8 @@ class _Fenwick:
             i += i & -i
 
     def rank(self, i):
-        """Count of members with id <= i."""
-        if i < 0:
-            return 0
-        i = min(i, self.n - 1) + 1
+        """Count of members with id <= i, for -1 <= i < n."""
+        i += 1
         s = 0
         while i > 0:
             s += self.tree[i]
@@ -349,7 +347,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     nbr_v = memoryview(nbr)
     hcol = memoryview(g.colour[eid])    # colour of each half-edge
 
-    state = bytearray(n)            # 0 unvisited, 1 active, 2 visited
+    state = bytearray(n)            # 1 once visited
     fen = _Fenwick(n)
     ucount = n
     stack: list[int] = []
@@ -384,7 +382,6 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             queries += q
             if p == end:
                 stack.pop()
-                state[v] = 2
                 if par_in[v] >= 0:
                     lset.discard(hcol[pos_in[v]])
                 continue
@@ -463,10 +460,11 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             raise InvalidDeltaError("pool cap below one vertex")
         s1 = delta * n - eps * eps * n
         s2 = eps * eps * n
+        dr = delta / alpha
         gen = as_generator(rng)
     else:
         pool_cap = n
-        s1 = s2 = None
+        s1 = s2 = dr = None
         gen = None
 
     indptr, nbr, eid = adjacency(g)
@@ -483,27 +481,19 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     forest_cols: set[int] = set()
     queue: deque[int] = deque()
     queries = 0
-    accepted = 0
-    total_forest = 0
+    # a tree's order is len(cur_pos) + 1, the forest's is n - ucount, and
+    # the accepted count is len(forest_cols): each accept adds a fresh colour
     cur_pos: list[int] = []
-    cur_size = 0
     best_pos: list[int] = []
-    best_size = 0
     root = 0                        # roots only grow: each is the least undiscovered id
-    started = False
     stop = None
-
-    def close_tree():
-        nonlocal best_pos, best_size
-        if cur_size > best_size:
-            best_size = cur_size
-            best_pos = cur_pos    # each tree starts a fresh list
 
     while stop is None:
         if not queue:
-            if started:
-                close_tree()
-                if faithful and total_forest >= s2:
+            if ucount < n:          # a root has been taken: close its tree
+                if len(cur_pos) > len(best_pos):
+                    best_pos = cur_pos    # each tree starts a fresh list
+                if faithful and n - ucount >= s2:
                     stop = "quota"
                     break
             if ucount == 0:
@@ -514,10 +504,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             if faithful:
                 fen.add(root, -1)
             ucount -= 1
-            total_forest += 1
             cur_pos = []
-            cur_size = 1
-            started = True
             queue.append(root)
             continue
         v = queue.popleft()
@@ -535,30 +522,24 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             if colour in forest_cols:
                 continue
             if faithful:
-                used = len(forest_cols)
-                rej = used / g.c
-                dr = delta / alpha
-                if rej < dr:
-                    extra = (dr - rej) / (1.0 - rej)
-                    if gen.random() < extra:
-                        continue
+                rej = len(forest_cols) / g.c
+                if rej < dr and gen.random() < (dr - rej) / (1.0 - rej):
+                    continue
             und[u] = 0
             if faithful:
                 fen.add(u, -1)
             ucount -= 1
             queue.append(u)
             cur_pos.append(p)
-            cur_size += 1
-            total_forest += 1
             forest_cols.add(colour)
-            accepted += 1
-            if faithful and cur_size >= s1:
+            if faithful and len(cur_pos) + 1 >= s1:
                 stop = "target"
                 break
 
-    close_tree()
+    if len(cur_pos) > len(best_pos):
+        best_pos = cur_pos
     tree_edges = eid[best_pos].tolist()
-    trace = ExplorationTrace(queries=queries, accepted=accepted,
+    trace = ExplorationTrace(queries=queries, accepted=len(forest_cols),
                              stop_reason=stop, tree_edges=tree_edges)
     assert trace.accepted <= trace.queries
     _assert_rainbow_tree(g, tree_edges)

@@ -171,31 +171,26 @@ def _iter_wilson_parents(m: int, t: int, gen, count: int):
     chunk = min(1 << 15, max(64, 4 * m))  # fixes the draw sequence
     hi = m - 1
     buf: list = []
-    ptr = 0
-    end = 0
+    ptr = chunk                     # the first draw fills the buffer
     for _ in range(count):
         parent = [-1] * m
-        if t < m:
-            in_forest = bytearray(m)
-            for r in range(t):
-                in_forest[r] = 1
-            for i in range(t, m):
-                u = i
-                while not in_forest[u]:
-                    if ptr == end:
-                        buf = gen.integers(0, hi, size=chunk).tolist()
-                        ptr = 0
-                        end = chunk
-                    x = buf[ptr]
-                    ptr += 1
-                    if x >= u:
-                        x += 1
-                    parent[u] = x
-                    u = x
-                u = i
-                while not in_forest[u]:
-                    in_forest[u] = 1
-                    u = parent[u]
+        in_forest = bytearray([1]) * t + bytearray(m - t)
+        for i in range(t, m):
+            u = i
+            while not in_forest[u]:
+                if ptr == chunk:
+                    buf = gen.integers(0, hi, size=chunk).tolist()
+                    ptr = 0
+                x = buf[ptr]
+                ptr += 1
+                if x >= u:
+                    x += 1
+                parent[u] = x
+                u = x
+            u = i
+            while not in_forest[u]:
+                in_forest[u] = 1
+                u = parent[u]
         yield parent
 
 

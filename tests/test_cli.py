@@ -183,9 +183,13 @@ def test_find_sub_order_counts_tree_vertices(tmp_path, seed):
     assert record["order"] == len(verts)
 
 
-@pytest.mark.parametrize("n, order", [("0", 0), ("5", 1)])
-def test_find_sub_without_edges(n, order):
-    code, text = run_cli(["find", "--finder", "sub", "--n", n, "--c", "3",
+@pytest.mark.parametrize("finder, n, order",
+                         [("sub", "0", 0), ("sub", "5", 1),
+                          ("rbfs", "0", 0), ("rbfs", "5", 1)],
+                         ids=["0-0", "5-1", "rbfs-0", "rbfs-5"])
+def test_find_sub_without_edges(finder, n, order):
+    # an empty tree is a single vertex, and a graph with no vertex has none
+    code, text = run_cli(["find", "--finder", finder, "--n", n, "--c", "3",
                           "--p", "0"])
     assert code == 0
     assert json.loads(text.splitlines()[-1])["order"] == order

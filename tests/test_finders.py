@@ -928,8 +928,19 @@ def fenwick_rbfs_forest(g: ColouredGraph, delta: float = 0.1,
 
 
 def test_fenwick_all_ones_build_matches_reference():
+    gen = np.random.default_rng(130)
     for n in range(0, 130):
-        assert _Fenwick(n).tree == ReferenceFenwick(n).tree
+        fen, ref = _Fenwick(n), ReferenceFenwick(n)
+        assert fen.tree == ref.tree
+        # rank is asked for -1 <= i < n: a cursor before any id, or an id
+        for i in gen.permutation(n)[:gen.integers(0, n + 1)].tolist():
+            fen.add(i, -1)
+            ref.add(i, -1)
+        members = ref.total()
+        assert [fen.rank(i) for i in range(-1, n)] == \
+            [ref.rank(i) for i in range(-1, n)]
+        assert [fen.select(k) for k in range(1, members + 1)] == \
+            [ref.select(k) for k in range(1, members + 1)]
 
 
 @st.composite
@@ -1047,9 +1058,11 @@ def assert_matches_reference(finder, reference, g, **kwargs):
 @given(coloured_multigraphs(),
        st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.3]),
        st.one_of(st.none(), st.floats(0.05, 50.0)),
-       st.one_of(st.none(), st.floats(0.01, 0.5)),
+       st.one_of(st.none(), st.just(0.0), st.floats(0.01, 0.5)),
        st.integers(0, 2 ** 32 - 1))
 def test_rbfs_matches_fenwick_reference(g, delta, alpha, eps, seed):
+    # eps = 0 makes the forest quota 0: the faithful run stops at its
+    # first tree close, which must come after the first root
     assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g, mode="greedy")
     assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
                              mode="faithful", delta=delta, alpha=alpha,
