@@ -195,7 +195,7 @@ def cmd_find(args) -> int:
                 trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
                                     mode=args.mode, eps=args.eps,
                                     rng=RngStream(args.seed, 1))
-                record["order"] = trace.order if g.n else 0
+                record["order"] = trace.order
                 record["queries"] = trace.queries
                 record["accepted"] = trace.accepted
                 record["stop_reason"] = trace.stop_reason
@@ -216,14 +216,15 @@ def cmd_find(args) -> int:
     return EXIT_OK
 
 
-_SUITES = ("min-split", "bridge", "double-bridge", "borel", "phase", "giant",
-           "cycle", "all")
-# suites with a fixed problem grid, which --n does not size
-_UNSIZED_SUITES = ("min-split", "bridge", "double-bridge")
+# each suite's default --n; None marks a fixed problem grid, which --n does
+# not size
+_SUITES = {"min-split": None, "bridge": None, "double-bridge": None,
+           "borel": 10 ** 5, "phase": 10 ** 6, "giant": 10 ** 5,
+           "cycle": 10 ** 5}
 
 
-def _run_suite(name, reps, seed, threads, n_override=None):
-    """Returns (config, rows, checks) for one named suite."""
+def _run_suite(name, reps, seed, threads, n):
+    """Returns (config, rows, checks) for one named suite of size ``n``."""
     if name == "min-split":
         rows, checks = exps.exp_min_split((4, 100, 400, 1600), reps, seed,
                                           threads=threads)
@@ -237,21 +238,18 @@ def _run_suite(name, reps, seed, threads, n_override=None):
         params = (("t_grid", "10/100/1000"),
                   ("m_factor", exps.DOUBLE_BRIDGE_M_FACTOR))
     elif name == "borel":
-        m = n_override if n_override is not None else 10 ** 5
-        rows, checks = exps.exp_tree_size_law(m, max(m // 100, 2), reps, seed)
-        params = (("m", m), ("t", max(m // 100, 2)))
+        m, t = n, max(n // 100, 2)
+        rows, checks = exps.exp_tree_size_law(m, t, reps, seed)
+        params = (("m", m), ("t", t))
     elif name == "phase":
-        n = n_override if n_override is not None else 10 ** 6
         rows, checks = exps.exp_phase_transition(n, n, (-0.05, 0.05), reps,
                                                  seed, threads=threads)
         params = (("n", n), ("c", n), ("eps_grid", "-0.05/0.05"))
     elif name == "giant":
-        n = n_override if n_override is not None else 10 ** 5
         rows, checks = exps.exp_giant_benchmark(n, 2.0, reps, seed,
                                                 threads=threads)
         params = (("n", n), ("d", 2.0))
-    else:  # cycle: cmd_experiment refuses any other suite
-        n = n_override if n_override is not None else 10 ** 5
+    else:  # cycle: argparse's choices refuse any other suite
         rows, checks = exps.exp_cycle(n, n, 129.0, 0.5, reps, seed,
                                       threads=threads)
         params = (("n", n), ("c", n), ("d", 129.0), ("delta", 0.5))
@@ -260,17 +258,18 @@ def _run_suite(name, reps, seed, threads, n_override=None):
 
 
 def cmd_experiment(args) -> int:
-    if args.suite not in _SUITES:
-        _usage_error(f"unknown suite {args.suite!r}; "
-                     f"choose from {', '.join(_SUITES)}")
-    if args.n is not None and args.suite in _UNSIZED_SUITES:
+    if args.suite == "all":
+        names = list(_SUITES)
+    elif args.n is not None and _SUITES[args.suite] is None:
         _usage_error(f"--n does not apply to suite {args.suite!r}")
-    names = [s for s in _SUITES[:-1]] if args.suite == "all" else [args.suite]
+    else:
+        names = [args.suite]
     all_ok = True
     outputs = []
     for name in names:
+        n = _SUITES[name] if args.n is None else args.n
         config, rows, checks = _run_suite(name, args.reps, args.seed,
-                                          args.threads, n_override=args.n)
+                                          args.threads, n)
         _echo(config.as_dict())
         outputs.append((config, rows, checks))
         for chk in checks:
@@ -326,8 +325,8 @@ def build_parser() -> _Parser:
 
     exp = subs.add_parser("experiment", help="run an experiment suite",
                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    exp.add_argument("--suite", required=True,
-                     help="one of " + ", ".join(_SUITES))
+    exp.add_argument("--suite", required=True, choices=(*_SUITES, "all"),
+                     help="which suite to run; all runs every one")
     exp.add_argument("--reps", type=_int_at_least(1), default=10,
                      help="repetitions")
     exp.add_argument("--seed", type=int, default=None,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
@@ -65,15 +65,21 @@ class EnvelopeCheck:
     bound: str
 
 
-def _mean_std(values) -> tuple[float, float]:
-    vals = list(values)
-    n = len(vals)
-    mean = sum(vals) / n
-    if n > 1:
-        var = sum((x - mean) ** 2 for x in vals) / (n - 1)
-    else:
-        var = 0.0
-    return mean, math.sqrt(var)
+def _row(params, values, reference, formula) -> SummaryRow:
+    """The mean and sample std of one value per repetition, as a row."""
+    reps = len(values)
+    mean = sum(values) / reps
+    var = (sum((x - mean) ** 2 for x in values) / (reps - 1)
+           if reps > 1 else 0.0)
+    return SummaryRow(params=params, mean=mean, std=math.sqrt(var), reps=reps,
+                      reference=reference, formula=formula)
+
+
+def _share_check(name, good, reps, required, what) -> EnvelopeCheck:
+    """Passes when ``good`` is at least ENVELOPES[required]/10 of ``reps``."""
+    need = ENVELOPES[required]
+    return EnvelopeCheck(name=name, passed=good >= need * reps / 10,
+                         observed=good, bound=f">= {need}/10 {what}")
 
 
 def _rep_job(fn, params, seed, rep):
@@ -111,7 +117,6 @@ def _rep_bridge(m, t, gen):
 def exp_min_split(m_grid, reps, seed, threads=1):
     """Smaller side of a uniform tree split at a uniform edge; reference sqrt(m)."""
     rows, checks = [], []
-    means = {}
     for m in m_grid:
         if m < 2:
             raise InvalidConfigError("min-split needs m >= 2")
@@ -119,16 +124,13 @@ def exp_min_split(m_grid, reps, seed, threads=1):
         # side below the uniform edge
         vals = [min(b, m - b)
                 for b in _run_reps(_rep_bridge, (m, 1), reps, seed, threads)]
-        mean, std = _mean_std(vals)
-        means[m] = (mean, std)
-        rows.append(SummaryRow(params=(("m", m),), mean=mean, std=std,
-                               reps=reps, reference=math.sqrt(m),
-                               formula="sqrt(m)"))
+        rows.append(_row((("m", m),), vals, math.sqrt(m), "sqrt(m)"))
     lo, hi = ENVELOPES["min_split_ratio"]
     grid = list(m_grid)
+    by_m = dict(zip(grid, rows))
     for a, b in zip(grid, grid[1:]):
         if b == 4 * a:
-            ratio = means[b][0] / means[a][0]
+            ratio = by_m[b].mean / by_m[a].mean
             checks.append(EnvelopeCheck(
                 name=f"min_split_ratio_m{a}_to_m{b}",
                 passed=lo <= ratio <= hi, observed=ratio,
@@ -136,11 +138,11 @@ def exp_min_split(m_grid, reps, seed, threads=1):
     if 4 in grid:
         from .oracles import exact_min_deleted_component_expectation
         exact = exact_min_deleted_component_expectation(4)
-        mean, std = means[4]
-        tol = ENVELOPES["min_split_oracle_sigmas"] * std / math.sqrt(reps)
+        row = by_m[4]
+        tol = ENVELOPES["min_split_oracle_sigmas"] * row.std / math.sqrt(reps)
         checks.append(EnvelopeCheck(
-            name="min_split_m4_oracle", passed=abs(mean - exact) <= tol,
-            observed=mean, bound=f"{exact} +- {tol:.6f}"))
+            name="min_split_m4_oracle", passed=abs(row.mean - exact) <= tol,
+            observed=row.mean, bound=f"{exact} +- {tol:.6f}"))
     return rows, checks
 
 
@@ -149,15 +151,13 @@ def exp_bridge_number(m, t, reps, seed, threads=1):
     if m - t < 1:
         raise InvalidConfigError("needs at least one edge (m > t)")
     vals = _run_reps(_rep_bridge, (m, t), reps, seed, threads)
-    mean, std = _mean_std(vals)
     ref = m / (t + 1)
-    rows = [SummaryRow(params=(("m", m), ("t", t)), mean=mean, std=std,
-                       reps=reps, reference=ref, formula="m/(t+1)")]
+    row = _row((("m", m), ("t", t)), vals, ref, "m/(t+1)")
     slack = ENVELOPES["bridge_slack"]
     checks = [EnvelopeCheck(name=f"bridge_mean_m{m}_t{t}",
-                            passed=mean <= slack * ref, observed=mean,
+                            passed=row.mean <= slack * ref, observed=row.mean,
                             bound=f"<= {slack}*{ref:.6f}")]
-    return rows, checks
+    return [row], checks
 
 
 class _PairSizeSampler:
@@ -215,11 +215,8 @@ def exp_min_double_bridge(t_grid, reps, seed):
     for idx, t in enumerate(t_grid):
         m = DOUBLE_BRIDGE_M_FACTOR * t
         vals = min_double_bridge_samples(m, t, reps, seed, stream=idx)
-        mean, std = _mean_std(vals)
-        ref = m / t
-        normalised.append(mean * t / m)
-        rows.append(SummaryRow(params=(("m", m), ("t", t)), mean=mean, std=std,
-                               reps=reps, reference=ref, formula="m/t"))
+        rows.append(_row((("m", m), ("t", t)), vals, m / t, "m/t"))
+        normalised.append(rows[-1].mean * t / m)
     for i in range(len(normalised) - 1):
         checks.append(EnvelopeCheck(
             name=f"double_bridge_decreasing_t{t_grid[i]}_t{t_grid[i+1]}",
@@ -289,46 +286,37 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
             raise InvalidConfigError("eps must be nonzero")
         a = abs(eps)
         eps3n = a ** 3 * n
+        params = (("n", n), ("c", c), ("eps", eps), ("eps3n", eps3n))
         if eps < 0:
             ref = (2.0 / a ** 2) * math.log(eps3n)
             orders = _run_reps(_rep_phase_sub, (n, c, a), reps, seed, threads)
-            mean, std = _mean_std(orders)
-            rows.append(SummaryRow(
-                params=(("n", n), ("c", c), ("eps", eps), ("eps3n", eps3n)),
-                mean=mean, std=std, reps=reps, reference=ref,
-                formula="(2/eps^2) ln(eps^3 n)"))
+            rows.append(_row(params, orders, ref, "(2/eps^2) ln(eps^3 n)"))
             lo, hi = ENVELOPES["phase_sub_ratio"]
-            good = sum(1 for o in orders if lo <= o / ref <= hi)
-            need = ENVELOPES["phase_sub_required"]
-            checks.append(EnvelopeCheck(
-                name=f"phase_sub_eps{eps}", passed=good >= need * reps / 10,
-                observed=good, bound=f">= {need}/10 of ratios in [{lo}, {hi}]"))
+            checks.append(_share_check(
+                f"phase_sub_eps{eps}",
+                sum(1 for o in orders if lo <= o / ref <= hi), reps,
+                "phase_sub_required", f"of ratios in [{lo}, {hi}]"))
         else:
             ref = 2.0 * a * n
             out = _run_reps(_rep_phase_super, (n, c, a), reps, seed, threads)
             orders = [o for o, _ in out]
-            giants = [l1 for _, l1 in out]
-            mean, std = _mean_std(orders)
-            rows.append(SummaryRow(
-                params=(("n", n), ("c", c), ("eps", eps), ("eps3n", eps3n)),
-                mean=mean, std=std, reps=reps, reference=ref,
-                formula="2 eps n"))
+            rows.append(_row(params, orders, ref, "2 eps n"))
             frac = ENVELOPES["phase_super_frac"]
-            good = sum(1 for o in orders if o >= frac * ref)
-            need = ENVELOPES["phase_super_required"]
-            checks.append(EnvelopeCheck(
-                name=f"phase_super_eps{eps}", passed=good >= need * reps / 10,
-                observed=good, bound=f">= {need}/10 of orders >= {frac}*{ref}"))
-            gmean, gstd = _mean_std(giants)
-            rows.append(SummaryRow(
-                params=(("n", n), ("c", c), ("eps", eps), ("benchmark", "L1")),
-                mean=gmean / n, std=gstd / n, reps=reps, reference=2.0 * a,
-                formula="(2 eps + O(eps^2))"))
+            checks.append(_share_check(
+                f"phase_super_eps{eps}",
+                sum(1 for o in orders if o >= frac * ref), reps,
+                "phase_super_required", f"of orders >= {frac}*{ref}"))
+            # the giant orders are integers: scaling their mean and std by
+            # 1/n is not the same to the last bit as averaging L1/n
+            l1 = _row(params[:3] + (("benchmark", "L1"),),
+                      [size for _, size in out], 2.0 * a, "(2 eps + O(eps^2))")
+            l1 = replace(l1, mean=l1.mean / n, std=l1.std / n)
+            rows.append(l1)
             rel = ENVELOPES["phase_benchmark_rel"]
             checks.append(EnvelopeCheck(
                 name=f"phase_benchmark_eps{eps}",
-                passed=abs(gmean / n - 2.0 * a) <= rel * 2.0 * a,
-                observed=gmean / n, bound=f"2 eps +- {rel:.0%}"))
+                passed=abs(l1.mean - 2.0 * a) <= rel * 2.0 * a,
+                observed=l1.mean, bound=f"2 eps +- {rel:.0%}"))
     return rows, checks
 
 
@@ -341,21 +329,15 @@ def _rep_giant(n, d, gen):
 def exp_giant_benchmark(n, d, reps, seed, threads=1):
     """Largest-component fraction against the survival probability gamma(d)."""
     fracs = _run_reps(_rep_giant, (n, d), reps, seed, threads)
-    mean, std = _mean_std(fracs)
     ref = survival_probability(d)
-    rows = [SummaryRow(params=(("n", n), ("d", d)), mean=mean, std=std,
-                       reps=reps, reference=ref, formula="gamma(d)")]
-    checks = []
+    row = _row((("n", n), ("d", d)), fracs, ref, "gamma(d)")
     if d > 1:
         tol = ENVELOPES["giant_tol"]
-        checks.append(EnvelopeCheck(name=f"giant_fraction_d{d}",
-                                    passed=abs(mean - ref) <= tol,
-                                    observed=mean, bound=f"{ref:.6f} +- {tol}"))
+        passed, bound = abs(row.mean - ref) <= tol, f"{ref:.6f} +- {tol}"
     else:
-        checks.append(EnvelopeCheck(name=f"giant_fraction_d{d}",
-                                    passed=mean < 0.01, observed=mean,
-                                    bound="< 0.01"))
-    return rows, checks
+        passed, bound = row.mean < 0.01, "< 0.01"
+    return [row], [EnvelopeCheck(name=f"giant_fraction_d{d}", passed=passed,
+                                 observed=row.mean, bound=bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +364,19 @@ def exp_cycle(n, c, d, delta, reps, seed, threads=1):
     if d / n > 1.0:
         raise InvalidConfigError("d/n exceeds 1")
     lengths = _run_reps(_rep_cycle, (n, c, d, delta), reps, seed, threads)
-    r = min(n, c)
-    target = (1.0 - delta) * r
+    target = (1.0 - delta) * min(n, c)
     successes = sum(1 for ln in lengths if ln >= target)
-    mean, std = _mean_std(lengths)
+    params = (("n", n), ("c", c), ("d", d), ("delta", delta))
     rows = [
-        SummaryRow(params=(("n", n), ("c", c), ("d", d), ("delta", delta)),
-                   mean=mean, std=std, reps=reps, reference=target,
-                   formula="(1-delta) min(n,c)"),
-        SummaryRow(params=(("n", n), ("c", c), ("d", d), ("delta", delta),
-                           ("stat", "success_rate")),
+        _row(params, lengths, target, "(1-delta) min(n,c)"),
+        SummaryRow(params=params + (("stat", "success_rate"),),
                    mean=successes / reps, std=0.0, reps=reps,
                    reference=ENVELOPES["cycle_required"] / 10.0,
                    formula="success fraction"),
     ]
-    need = ENVELOPES["cycle_required"]
-    checks = [EnvelopeCheck(name=f"cycle_d{d}_delta{delta}",
-                            passed=successes >= need * reps / 10,
-                            observed=successes,
-                            bound=f">= {need}/10 cycles of length >= {target:.0f}")]
+    checks = [_share_check(f"cycle_d{d}_delta{delta}", successes, reps,
+                           "cycle_required",
+                           f"cycles of length >= {target:.0f}")]
     return rows, checks
 
 

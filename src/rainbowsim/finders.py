@@ -64,6 +64,8 @@ class ExplorationTrace:
 
     Exactly one of ``path`` (vertex sequence, with ``path_edges`` aligned to
     its steps) or ``tree_edges`` is set, depending on the explorer.
+    ``rooted`` is False when the tree explorer took no root, which happens
+    only on a graph with no vertex; its tree then has order 0.
     """
 
     queries: int
@@ -72,12 +74,13 @@ class ExplorationTrace:
     path: list | None = None
     path_edges: list | None = None
     tree_edges: list | None = None
+    rooted: bool = True
 
     @property
     def order(self) -> int:
         if self.path is not None:
             return len(self.path)
-        return len(self.tree_edges) + 1
+        return len(self.tree_edges) + 1 if self.rooted else 0
 
     @property
     def length(self) -> int:
@@ -540,7 +543,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
         best_pos = cur_pos
     tree_edges = eid[best_pos].tolist()
     trace = ExplorationTrace(queries=queries, accepted=len(forest_cols),
-                             stop_reason=stop, tree_edges=tree_edges)
+                             stop_reason=stop, tree_edges=tree_edges,
+                             rooted=ucount < n)
     assert trace.accepted <= trace.queries
     _assert_rainbow_tree(g, tree_edges)
     return trace

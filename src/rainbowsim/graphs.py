@@ -335,10 +335,9 @@ def children_index(f: RootedForest):
     return indptr, order
 
 
-def subtree_size_below(f: RootedForest, w: int, child_idx=None) -> int:
-    """Order of the subtree rooted at w, by explicit descent."""
-    if child_idx is None:
-        child_idx = children_index(f)
+def subtree_size_below(f: RootedForest, w: int, child_idx) -> int:
+    """Order of the subtree rooted at w, by explicit descent over
+    ``child_idx = children_index(f)``."""
     indptr, order = child_idx
     count = 0
     stack = [w]
@@ -355,7 +354,7 @@ def bridge_number(f: RootedForest, e) -> int:
     v, w = int(e[0]), int(e[1])
     if not (0 <= w < f.m) or w < f.t or f.parent[w] != v:
         raise EdgeNotInForestError(f"({v}, {w}) is not an oriented edge of the forest")
-    return subtree_size_below(f, w)
+    return subtree_size_below(f, w, children_index(f))
 
 
 def is_rainbow(g: ColouredGraph, edge_ids) -> bool:

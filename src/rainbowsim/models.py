@@ -211,8 +211,6 @@ def sample_uniform_forest(m: int, t: int, rng=None) -> RootedForest:
 
 def _log_forest_count(m: int, t: int) -> float:
     """log of the number of forests on [m] with root set of size t."""
-    if m == t:
-        return 0.0
     return math.log(t) + (m - t - 1) * math.log(m)
 
 

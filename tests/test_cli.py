@@ -336,6 +336,8 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
       "--d", "3", "--c", "3000"],
      "need delta <= kappa^2/4 = 0.0625 at alpha = 1.0"),
     (["find", "--finder", "nope"], "argument --finder: invalid choice: 'nope'"),
+    (["experiment", "--suite", "nope"],
+     "argument --suite: invalid choice: 'nope'"),
 ])
 def test_refused_parameters_exit_64(capsys, args, fragment):
     code, _ = run_cli(args)

@@ -233,6 +233,143 @@ def test_min_split_streams_are_frozen():
         (1.5, 0.5345224838248488), (2.625, 2.5035688811888406)]
 
 
+# The full (rows, checks) of each suite at seed 2024 and toy sizes, frozen
+# exactly: a changed mean, std, reps, row order or check shows here. The
+# min-split grid repeats m = 4, which must keep its own row; at eps = 0.2 the
+# L1 row's mean and std differ in the last bit if each order is scaled by 1/n
+# before averaging.
+_FROZEN_SUITES = [
+    pytest.param(
+        lambda: exp_min_split((4, 16, 4), 8, 2024),
+        [
+            SummaryRow((("m", 4),), 1.5, 0.5345224838248488, 8, 2.0,
+                       "sqrt(m)"),
+            SummaryRow((("m", 16),), 2.25, 1.5811388300841898, 8, 4.0,
+                       "sqrt(m)"),
+            SummaryRow((("m", 4),), 1.5, 0.5345224838248488, 8, 2.0,
+                       "sqrt(m)"),
+        ], [
+            EnvelopeCheck("min_split_ratio_m4_to_m16", False, 1.5,
+                          "[1.6, 2.4]"),
+            EnvelopeCheck("min_split_m4_oracle", True, 1.5,
+                          "1.25 +- 0.566947"),
+        ], id="min-split"),
+    pytest.param(
+        lambda: exp_bridge_number(1000, 50, 8, 2024),
+        [
+            SummaryRow((("m", 1000), ("t", 50)), 6.25, 7.55456342692472, 8,
+                       19.607843137254903, "m/(t+1)"),
+        ], [
+            EnvelopeCheck("bridge_mean_m1000_t50", True, 6.25,
+                          "<= 1.05*19.607843"),
+        ], id="bridge"),
+    pytest.param(
+        lambda: exp_min_double_bridge((10, 100), 200, 2024),
+        [
+            SummaryRow((("m", 1000), ("t", 10)), 3.37, 8.444504025767658, 200,
+                       100.0, "m/t"),
+            SummaryRow((("m", 10000), ("t", 100)), 4.31, 13.399688738603492,
+                       200, 100.0, "m/t"),
+        ], [
+            EnvelopeCheck("double_bridge_decreasing_t10_t100", False,
+                          0.04309999999999999, "< 0.033700"),
+        ], id="double-bridge"),
+    pytest.param(
+        lambda: exp_tree_size_law(1000, 10, 500, 2024),
+        [
+            SummaryRow((("m", 1000), ("t", 10), ("k", 1)), 0.324,
+                       0.020929596269398033, 500, 0.36787944117144233,
+                       "exp(-k) k^(k-1)/k!"),
+            SummaryRow((("m", 1000), ("t", 10), ("k", 2)), 0.118,
+                       0.014427473791346842, 500, 0.13533528323661276,
+                       "exp(-k) k^(k-1)/k!"),
+            SummaryRow((("m", 1000), ("t", 10), ("k", 3)), 0.064,
+                       0.010945684080951725, 500, 0.0746806025517959,
+                       "exp(-k) k^(k-1)/k!"),
+            SummaryRow((("m", 1000), ("t", 10), ("k", 4)), 0.048,
+                       0.009559916317625379, 500, 0.04884170370329117,
+                       "exp(-k) k^(k-1)/k!"),
+            SummaryRow((("m", 1000), ("t", 10), ("k", 5)), 0.024,
+                       0.00684455988358638, 500, 0.035093473953570105,
+                       "exp(-k) k^(k-1)/k!"),
+        ], [
+            EnvelopeCheck("borel_k1", False, 0.324, "0.367879 +- 0.01"),
+            EnvelopeCheck("borel_k2", False, 0.118, "0.135335 +- 0.01"),
+            EnvelopeCheck("borel_k3", False, 0.064, "0.074681 +- 0.01"),
+            EnvelopeCheck("borel_k4", True, 0.048, "0.048842 +- 0.01"),
+            EnvelopeCheck("borel_k5", False, 0.024, "0.035093 +- 0.01"),
+        ], id="borel"),
+    pytest.param(
+        lambda: exp_phase_transition(10000, 10000, (-0.3, 0.1, 0.2), 4, 2024),
+        [
+            SummaryRow((("n", 10000), ("c", 10000), ("eps", -0.3),
+                        ("eps3n", 269.99999999999994)),
+                       41.75, 8.958236433584458, 4, 124.40937686663054,
+                       "(2/eps^2) ln(eps^3 n)"),
+            SummaryRow((("n", 10000), ("c", 10000), ("eps", 0.1),
+                        ("eps3n", 10.000000000000002)),
+                       839.25, 508.2429701104253, 4, 2000.0, "2 eps n"),
+            SummaryRow((("n", 10000), ("c", 10000), ("eps", 0.1),
+                        ("benchmark", "L1")),
+                       0.12275, 0.09079693460317553, 4, 0.2,
+                       "(2 eps + O(eps^2))"),
+            SummaryRow((("n", 10000), ("c", 10000), ("eps", 0.2),
+                        ("eps3n", 80.00000000000001)),
+                       1689.5, 252.33509466580347, 4, 4000.0, "2 eps n"),
+            SummaryRow((("n", 10000), ("c", 10000), ("eps", 0.2),
+                        ("benchmark", "L1")),
+                       0.31295, 0.02657624252347699, 4, 0.4,
+                       "(2 eps + O(eps^2))"),
+        ], [
+            EnvelopeCheck("phase_sub_eps-0.3", False, 0,
+                          ">= 8/10 of ratios in [0.5, 1.5]"),
+            EnvelopeCheck("phase_super_eps0.1", False, 1,
+                          ">= 8/10 of orders >= 0.7*2000.0"),
+            EnvelopeCheck("phase_benchmark_eps0.1", False, 0.12275,
+                          "2 eps +- 15%"),
+            EnvelopeCheck("phase_super_eps0.2", False, 0,
+                          ">= 8/10 of orders >= 0.7*4000.0"),
+            EnvelopeCheck("phase_benchmark_eps0.2", False, 0.31295,
+                          "2 eps +- 15%"),
+        ], id="phase"),
+    pytest.param(
+        lambda: exp_giant_benchmark(2000, 2.0, 4, 2024),
+        [
+            SummaryRow((("n", 2000), ("d", 2.0)), 0.782875,
+                       0.01589221507531285, 4, 0.79681213002002, "gamma(d)"),
+        ], [
+            EnvelopeCheck("giant_fraction_d2.0", True, 0.782875,
+                          "0.796812 +- 0.02"),
+        ], id="giant"),
+    pytest.param(
+        lambda: exp_giant_benchmark(2000, 0.5, 4, 2024),
+        [
+            SummaryRow((("n", 2000), ("d", 0.5)), 0.0085, 0.002943920288775949,
+                       4, 0.0, "gamma(d)"),
+        ], [
+            EnvelopeCheck("giant_fraction_d0.5", True, 0.0085, "< 0.01"),
+        ], id="giant-sub"),
+    pytest.param(
+        lambda: exp_cycle(2000, 2000, 129.0, 0.5, 3, 2024),
+        [
+            SummaryRow((("n", 2000), ("c", 2000), ("d", 129.0),
+                        ("delta", 0.5)), 1281.0, 50.1098792654702, 3, 1000.0,
+                       "(1-delta) min(n,c)"),
+            SummaryRow((("n", 2000), ("c", 2000), ("d", 129.0), ("delta", 0.5),
+                        ("stat", "success_rate")),
+                       1.0, 0.0, 3, 0.8, "success fraction"),
+        ], [
+            EnvelopeCheck("cycle_d129.0_delta0.5", True, 3,
+                          ">= 8/10 cycles of length >= 1000"),
+        ], id="cycle"),
+]
+
+
+@pytest.mark.parametrize("run, rows, checks", _FROZEN_SUITES)
+def test_suite_outputs_are_frozen(run, rows, checks):
+    assert run() == (rows, checks)
+
+
 _THREAD_SUITES = {
     "min-split": lambda th: exp_min_split((4, 100), 11, 15, threads=th),
     "bridge": lambda th: exp_bridge_number(100, 5, 9, 15, threads=th),

@@ -584,6 +584,13 @@ def test_rbfs_colour_clash_at_root():
     assert trace.order == 2 and trace.accepted == 1
 
 
+@pytest.mark.parametrize("n, order", [(0, 0), (1, 1), (3, 1)])
+def test_rbfs_order_without_edges(n, order):
+    # every vertex is a root of its own; a graph with no vertex has no tree
+    trace = rbfs_forest(ColouredGraph.from_edges(n, [], c=3), mode="greedy")
+    assert trace.order == order and trace.length == 0
+
+
 def test_rbfs_invalid_delta():
     g = ColouredGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)], c=2)
     with pytest.raises(InvalidDeltaError):
