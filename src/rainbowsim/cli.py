@@ -336,9 +336,10 @@ def build_parser() -> _Parser:
                      help="also write per-run JSON next to the CSV")
     exp.add_argument("--threads", type=_int_at_least(1), default=1,
                      help="worker processes for repetitions")
+    sized = [name for name, n in _SUITES.items() if n is not None]
     exp.add_argument("--n", type=_int_at_least(1), default=None,
-                     help="problem size of the borel, phase, giant and "
-                          "cycle suites")
+                     help=f"problem size of the {', '.join(sized[:-1])} and "
+                          f"{sized[-1]} suites")
     exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -116,18 +116,20 @@ def _rep_bridge(m, t, gen):
 
 def exp_min_split(m_grid, reps, seed, threads=1):
     """Smaller side of a uniform tree split at a uniform edge; reference sqrt(m)."""
-    rows, checks = [], []
-    for m in m_grid:
+    grid = list(m_grid)
+    by_m = {}
+    for m in grid:
         if m < 2:
             raise InvalidConfigError("min-split needs m >= 2")
+        if m in by_m:
+            continue
         # a one-root forest is a uniform tree, and the bridge number is the
         # side below the uniform edge
         vals = [min(b, m - b)
                 for b in _run_reps(_rep_bridge, (m, 1), reps, seed, threads)]
-        rows.append(_row((("m", m),), vals, math.sqrt(m), "sqrt(m)"))
+        by_m[m] = _row((("m", m),), vals, math.sqrt(m), "sqrt(m)")
+    rows, checks = [by_m[m] for m in grid], []
     lo, hi = ENVELOPES["min_split_ratio"]
-    grid = list(m_grid)
-    by_m = dict(zip(grid, rows))
     for a, b in zip(grid, grid[1:]):
         if b == 4 * a:
             ratio = by_m[b].mean / by_m[a].mean

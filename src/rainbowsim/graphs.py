@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _scipy_cc
 
 
@@ -203,16 +202,23 @@ def connected_components(g: ColouredGraph) -> VertexPartition:
     return VertexPartition(n=g.n, labels=labels, sizes_desc=sizes)
 
 
-def _peel_masks(g: ColouredGraph):
-    """Iteratively strip degree<=1 vertices; returns (vertex_mask, edge_mask).
+def _peel(g: ColouredGraph):
+    """Iteratively strip degree<=1 vertices; returns (vertex_mask, edge_mask,
+    up, up_edge).
 
     Each round looks only at the live neighbours of the vertices it just
     removed, so the whole peel is O(m log m) rather than O(n) per round.
+    A vertex goes after its children and never in its parent's round, so
+    its one neighbour alive after its round is its parent towards the
+    2-core: ``up`` holds it and ``up_edge`` the edge to it, both -1 for
+    core vertices and for the last vertices peeled from a coreless tree.
     """
     n = g.n
     deg = g.degrees()
     alive = np.ones(n, dtype=bool)
-    indptr, nbr, _ = adjacency(g)
+    up = np.full(n, -1, dtype=np.int64)
+    up_edge = np.full(n, -1, dtype=np.int64)
+    indptr, nbr, eid = adjacency(g)
     removed = np.flatnonzero(deg <= 1)
     while removed.size:
         alive[removed] = False
@@ -221,12 +227,15 @@ def _peel_masks(g: ColouredGraph):
         lens = indptr[removed + 1] - starts
         offsets = np.cumsum(lens) - lens
         flat = np.repeat(starts - offsets, lens) + np.arange(lens.sum())
+        live = alive[nbr[flat]]
+        child = np.repeat(removed, lens)[live]
+        up[child], up_edge[child] = nbr[flat[live]], eid[flat[live]]
         touched, hits = np.unique(nbr[flat], return_counts=True)
         deg[touched] -= hits
         # only a vertex decremented just now can have dropped to degree <= 1
         removed = touched[alive[touched] & (deg[touched] <= 1)]
     edge_mask = alive[g.u] & alive[g.v]
-    return alive, edge_mask
+    return alive, edge_mask, up, up_edge
 
 
 def two_core(g: ColouredGraph) -> ColouredGraph:
@@ -234,7 +243,7 @@ def two_core(g: ColouredGraph) -> ColouredGraph:
 
     The vertex set is kept; only the surviving edges are returned.
     """
-    _, emask = _peel_masks(g)
+    _, emask, _, _ = _peel(g)
     return ColouredGraph._trusted(g.n, g.c, g.u[emask], g.v[emask],
                                   g.colour[emask], g.multigraph)
 
@@ -386,9 +395,9 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
 
     ``giant`` and ``unicyclic`` must each be a union of whole components of
     g. Then no edge of g leaves S = giant + unicyclic, so the 2-core of the
-    subgraph induced on S is g's 2-core restricted to S: the peel and the
-    search below run on that subgraph alone, in ids 0..|S|-1 that keep the
-    global order.
+    subgraph induced on S is g's 2-core restricted to S: the peel below
+    runs on that subgraph alone, in ids 0..|S|-1 that keep the global
+    order.
 
     Raises EmptyCoreError when the restricted 2-core has no vertices, or
     when none of them is in the giant (a giant tree cannot hang off the
@@ -406,45 +415,29 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     m = s_verts.size
     local = np.full(g.n, -1, dtype=np.int64)
     local[s_verts] = np.arange(m, dtype=np.int64)
-    su, sv = local[g.u[s_edges]], local[g.v[s_edges]]
-    region = ColouredGraph._trusted(m, g.c, su, sv, g.colour[s_edges],
+    region = ColouredGraph._trusted(m, g.c, local[g.u[s_edges]],
+                                    local[g.v[s_edges]], g.colour[s_edges],
                                     g.multigraph)
 
-    vmask, emask = _peel_masks(region)
+    vmask, emask, up, up_edge = _peel(region)
     core = np.flatnonzero(vmask)
     t = core.size
     if t == 0:
         raise EmptyCoreError("2-core of the giant+unicyclic region is empty")
     if not vmask[local[giant]].any():
         raise EmptyCoreError("2-core of the giant is empty")
-    fu, fv = su[~emask], sv[~emask]
-
-    # BFS over forest edges from a virtual source m adjacent to every core
-    # vertex. Each forest tree meets the core in exactly one vertex (a forest
-    # path between two core vertices would itself survive the peel), so the
-    # parent pointers do not depend on the order of the search.
-    rows = np.concatenate([fu, fv, np.full(t, m, dtype=np.int64)])
-    cols = np.concatenate([fv, fu, core])
-    graph = coo_matrix((np.ones(rows.size), (rows, cols)),
-                       shape=(m + 1, m + 1)).tocsr()
-    order, pred = breadth_first_order(graph, m, directed=True,
-                                      return_predecessors=True)
-    if order.size - 1 != m:
+    non_core = np.flatnonzero(~vmask)
+    if (up[non_core] < 0).any():
         raise ValueError("giant/unicyclic region is not fully attached to the core")
 
     # forest ids: the core first, then the other vertices, each in global order
-    non_core = np.flatnonzero(~vmask)
     to_forest = np.empty(m, dtype=np.int64)
     to_forest[core] = np.arange(t, dtype=np.int64)
     to_forest[non_core] = np.arange(t, m, dtype=np.int64)
-    pred = pred.astype(np.int64)
     parent = np.full(m, -1, dtype=np.int64)
-    parent[to_forest[non_core]] = to_forest[pred[non_core]]
-    # every forest edge is the parent edge of exactly one of its ends (a
-    # core end's predecessor is the source)
-    child = np.where(pred[fu] == fv, fu, fv)
+    parent[t:] = to_forest[up[non_core]]
     edge_ids = np.full(m, -1, dtype=np.int64)
-    edge_ids[to_forest[child]] = s_edges[~emask]
+    edge_ids[t:] = s_edges[up_edge[non_core]]
 
     forest = RootedForest(m=m, t=t, parent=parent)
     return CoreDecomposition(core_vertices=s_verts[core],

@@ -228,10 +228,10 @@ class RootTreeSizeSampler:
             raise InvalidRootCountError(f"need 1 <= t <= m, got t={t}, m={m}")
         self.m = m
         self.t = t
-        self._cdf = [0.0]
         if t == 1:
             self._cdf = None  # degenerate: the single tree spans everything
         else:
+            self._cdf = [0.0]
             self._log_denom = _log_forest_count(m, t)
             self._lg_mt1 = math.lgamma(m - t + 1)
 

@@ -102,7 +102,7 @@ def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
 
     best = {"size": 0, "edges": ()}
 
-    def consider(chosen, comp_count, touched):
+    def consider(chosen, comp_count):
         # chosen edges are acyclic and rainbow; a tree needs one component
         if chosen and comp_count == 1:
             size = len(chosen)
@@ -120,7 +120,7 @@ def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
         return x
 
     def rec(idx, chosen, used_cols, touched, comp_count):
-        consider(chosen, comp_count, touched)
+        consider(chosen, comp_count)
         if idx == m:
             return
         if len(chosen) + (m - idx) < best["size"]:

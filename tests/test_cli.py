@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rainbowsim.cli import main
+from rainbowsim.cli import _SUITES, main
 from rainbowsim.graphs import read_edgelist
 from rainbowsim.models import RngStream, colour_uniform, sample_gnp
 from rainbowsim.oracles import exact_max_rainbow_tree
@@ -473,3 +473,7 @@ def test_help_lists_defaults():
         code, text = run_cli([sub, "--help"])
         assert code == 0
         assert "default" in text
+    # experiment's --n help, its last option, names exactly the sized suites
+    n_help = " ".join(text.split("--n N", 1)[1].split())
+    for suite, n in _SUITES.items():
+        assert (f" {suite}" in n_help) == (n is not None), suite

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from rainbowsim import experiments as experiments_module
 from rainbowsim.envelopes import ENVELOPES_VERSION
 from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     InvalidConfigError, SummaryRow,
@@ -363,6 +364,24 @@ _FROZEN_SUITES = [
                           ">= 8/10 cycles of length >= 1000"),
         ], id="cycle"),
 ]
+
+
+def test_min_split_runs_each_distinct_m_once(monkeypatch):
+    calls = []
+
+    def counting(fn, params, *args, **kwargs):
+        calls.append(params)
+        return _run_reps(fn, params, *args, **kwargs)
+
+    monkeypatch.setattr(experiments_module, "_run_reps", counting)
+    _, rows, checks = _FROZEN_SUITES[0].values
+    assert exp_min_split((4, 16, 4), 8, 2024) == (rows, checks)
+    assert calls == [(4, 1), (16, 1)]
+    # the m < 2 refusal still comes in grid order
+    calls.clear()
+    with pytest.raises(InvalidConfigError):
+        exp_min_split((4, 1, 16), 8, 2024)
+    assert calls == [(4, 1)]
 
 
 @pytest.mark.parametrize("run, rows, checks", _FROZEN_SUITES)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rainbowsim import graphs as graphs_module
 from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
                                EmptyCoreError, RootedForest, _climb,
-                               _peel_masks, adjacency, bridge_number,
+                               _peel, adjacency, bridge_number,
                                connected_components,
                                core_forest_decomposition, forest_depths,
                                forest_from_line, forest_to_line, is_rainbow,
@@ -395,13 +395,27 @@ def test_two_core_of_tree_is_empty():
 @pytest.mark.parametrize("n", [0, 4])
 def test_two_core_without_edges(n):
     g = ColouredGraph.from_edges(n, [], c=2)
-    vmask, emask = _peel_masks(g)
+    vmask, emask, _, _ = _peel(g)
     assert vmask.dtype == emask.dtype == bool
     assert vmask.tolist() == [False] * n and emask.size == 0
     core = two_core(g)
     assert (core.n, core.c, core.m) == (n, 2, 0)
     for a in (core.u, core.v, core.colour):
         assert a.dtype == np.int64
+
+
+def test_peel_points_each_peeled_vertex_at_its_parent():
+    # triangle 0-1-2 with the pendant path 2-3-4; the path 5-6-7 peels 6
+    # last, with no live neighbour; the edge 8-9 peels both ends at once
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 6), (6, 7), (8, 9)]
+    g = ColouredGraph.from_edges(10, [(a, b, i + 1) for i, (a, b)
+                                      in enumerate(edges)], c=len(edges))
+    vmask, emask, up, up_edge = _peel(g)
+    assert vmask.tolist() == [True] * 3 + [False] * 7
+    assert emask.tolist() == [True] * 3 + [False] * 5
+    assert up.tolist() == [-1, -1, -1, 2, 3, 6, -1, 6, -1, -1]
+    assert up_edge.tolist() == [-1, -1, -1, 3, 4, 5, -1, 6, -1, -1]
+    assert up.dtype == up_edge.dtype == np.int64
 
 
 def test_two_core_of_cycle_is_itself():
@@ -457,7 +471,7 @@ def networkx_two_core(g):
 @given(graphs_and_multigraphs())
 def test_two_core_matches_networkx(g):
     verts, edges = networkx_two_core(g)
-    vmask, emask = _peel_masks(g)
+    vmask, emask, _, _ = _peel(g)
     assert set(np.flatnonzero(vmask).tolist()) == verts
     assert set(np.flatnonzero(emask).tolist()) == edges
     core = two_core(g)
@@ -522,6 +536,27 @@ def test_decomposition_keeps_other_cores_out():
     assert two_core(g).m == 15
 
 
+@pytest.mark.parametrize("edges, giant, unicyclic, error, message", [
+    # cored giant (triangle with a pendant) beside a tree passed as unicyclic
+    ([(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6)], [0, 1, 2, 3],
+     [4, 5, 6], ValueError,
+     "giant/unicyclic region is not fully attached to the core"),
+    # a coreless giant raises EmptyCoreError first, with or without another
+    # core in the region
+    ([(0, 1), (1, 2), (2, 3), (4, 5)], [0, 1, 2, 3], [4, 5], EmptyCoreError,
+     "2-core of the giant+unicyclic region is empty"),
+    ([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (7, 8)], [0, 1, 2, 3],
+     [4, 5, 6, 7, 8], EmptyCoreError, "2-core of the giant is empty"),
+])
+def test_decomposition_refuses_a_tree_off_the_core(edges, giant, unicyclic,
+                                                   error, message):
+    g = ColouredGraph.from_edges(9, [(a, b, i + 1) for i, (a, b)
+                                     in enumerate(edges)], c=len(edges))
+    with pytest.raises(error) as info:
+        core_forest_decomposition(g, giant, unicyclic)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def _unicyclic_vertices(g, part):
     giant_id = part.largest_id()
     ids, vcounts = np.unique(part.labels, return_counts=True)
@@ -564,8 +599,9 @@ def test_decomposition_invariants_on_samples():
 
 
 def deque_bfs_decomposition(g, giant, unicyclic):
-    """Reference of core_forest_decomposition: the deque BFS it used before
-    scipy's breadth_first_order, after a peel of the whole graph.
+    """Reference orientation for core_forest_decomposition: a deque BFS
+    over the forest edges from the core vertices, after a peel of the whole
+    graph of which it takes only the masks (not _peel's up/up_edge).
 
     Returns (parent, forest_edge_ids, forest_labels, core_vertices,
     core_edges).
@@ -573,7 +609,7 @@ def deque_bfs_decomposition(g, giant, unicyclic):
     in_s = np.zeros(g.n, dtype=bool)
     in_s[giant] = True
     in_s[unicyclic] = True
-    vmask, emask = _peel_masks(g)
+    vmask, emask, _, _ = _peel(g)
     core_v_mask = vmask & in_s
     core_verts = np.flatnonzero(core_v_mask)
     if core_verts.size == 0 or not core_v_mask[giant].any():
