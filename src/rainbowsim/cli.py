@@ -93,11 +93,26 @@ def _int_at_least(low: int):
     return parse
 
 
+def _refuse_unread(args, names, command: str) -> None:
+    """Usage error naming every flag in ``names`` given to ``command``,
+    which would ignore it."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        _usage_error(f"{command} does not read {', '.join(given)}")
+
+
 def _echo(config: dict) -> None:
     print("config " + json.dumps(config, sort_keys=True))
 
 
+# the flags each gen --model ignores
+_GEN_UNREAD = {"gnp": ("m", "t", "degrees"),
+               "config": ("n", "p", "eps", "d", "m", "t"),
+               "forest": ("n", "p", "eps", "d", "c", "degrees")}
+
+
 def cmd_gen(args) -> int:
+    _refuse_unread(args, _GEN_UNREAD[args.model], f"gen --model {args.model}")
     rng = RngStream(args.seed, 0).generator()
     if args.model == "forest":
         if args.m is None or args.t is None:
@@ -152,6 +167,18 @@ def _load_or_generate(args):
 
 
 def cmd_find(args) -> int:
+    # the edge list is the graph; beside it, rbfs alone reads --eps, as
+    # its growth margin
+    command = f"find --finder {args.finder}"
+    unread = []
+    if args.finder == "cycle":
+        unread = ["input"]
+    elif args.input is not None:
+        command += " --input"
+        unread = ["n", "c", "p", "d"] + (["eps"] if args.finder != "rbfs" else [])
+    unread += [name for name, finder in (("budget", "rdfs"), ("alpha", "rbfs"))
+               if args.finder != finder]
+    _refuse_unread(args, unread, command)
     config = {"command": "find", "finder": args.finder, "seed": args.seed,
               "input": args.input, "n": args.n, "c": args.c,
               "delta": args.delta, "alpha": args.alpha, "eps": args.eps,

@@ -60,32 +60,27 @@ class PipelineReport:
 
 @dataclass
 class ExplorationTrace:
-    """Outcome of an RDFS/RBFS run.
+    """Outcome of an RDFS/RBFS run: the edge ids of a rainbow tree.
 
-    Exactly one of ``path`` (vertex sequence, with ``path_edges`` aligned to
-    its steps) or ``tree_edges`` is set, depending on the explorer.
-    ``rooted`` is False when the tree explorer took no root, which happens
-    only on a graph with no vertex; its tree then has order 0.
+    RDFS's tree is a path: ``path`` holds its vertex sequence, with
+    ``tree_edges`` aligned to its steps; RBFS leaves ``path`` unset.
+    ``rooted`` is False when the explorer took no root, which happens only
+    on a graph with no vertex; its tree then has order 0.
     """
 
     queries: int
     accepted: int
     stop_reason: str
+    tree_edges: list
     path: list | None = None
-    path_edges: list | None = None
-    tree_edges: list | None = None
     rooted: bool = True
 
     @property
     def order(self) -> int:
-        if self.path is not None:
-            return len(self.path)
         return len(self.tree_edges) + 1 if self.rooted else 0
 
     @property
     def length(self) -> int:
-        if self.path is not None:
-            return max(len(self.path) - 1, 0)
         return len(self.tree_edges)
 
 
@@ -271,9 +266,9 @@ def supercritical_rainbow_tree(g: ColouredGraph):
 # rainbow depth-first search
 
 class _Fenwick:
-    """Fenwick tree over 0..n-1 counting set members, with rank and select.
+    """Fenwick tree over 0..n-1 counting set members, with add and rank.
 
-    Every id starts as a member.
+    Every id starts as a member. RDFS counts its queries with it.
     """
 
     __slots__ = ("n", "tree")
@@ -298,18 +293,6 @@ class _Fenwick:
             s += self.tree[i]
             i -= i & -i
         return s
-
-    def select(self, k):
-        """Smallest id whose prefix count reaches k (1-based)."""
-        pos = 0
-        rem = k
-        log = self.n.bit_length()
-        for step in range(log, -1, -1):
-            nxt = pos + (1 << step)
-            if nxt <= self.n and self.tree[nxt] < rem:
-                pos = nxt
-                rem -= self.tree[pos]
-        return pos  # 0-based id
 
 
 def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
@@ -419,7 +402,8 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     path.reverse()
     path_edges = eid[[pos_in[x] for x in path[1:]]].tolist()
     trace = ExplorationTrace(queries=queries, accepted=accepted,
-                             stop_reason=stop, path=path, path_edges=path_edges)
+                             stop_reason=stop, tree_edges=path_edges,
+                             path=path, rooted=bool(path))
     assert trace.accepted <= trace.queries
     assert is_rainbow(g, path_edges), "RDFS path is not rainbow"
     return trace
@@ -478,9 +462,11 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     hcol = g.colour[eid].tolist()   # colour of each half-edge
 
     und = bytearray([1]) * n
-    # only the faithful pool cap needs rank and select over the undiscovered
-    fen = _Fenwick(n) if faithful else None
     ucount = n
+    # the faithful pool holds the pool_cap least undiscovered ids, the
+    # largest of them cap; a discovery at or below cap moves it up to the
+    # next undiscovered id (-1, never read again, once fewer are left)
+    cap = pool_cap - 1
     forest_cols: set[int] = set()
     queue: deque[int] = deque()
     queries = 0
@@ -504,15 +490,15 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                 break
             root = und.find(1, root)
             und[root] = 0
-            if faithful:
-                fen.add(root, -1)
+            if faithful and root <= cap:
+                cap = und.find(1, cap + 1)
             ucount -= 1
             cur_pos = []
             queue.append(root)
             continue
         v = queue.popleft()
         if faithful and ucount > pool_cap:
-            thr = fen.select(pool_cap)
+            thr = cap               # one threshold for the whole scan of v
             queries += pool_cap
         else:
             thr = n
@@ -529,8 +515,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                 if rej < dr and gen.random() < (dr - rej) / (1.0 - rej):
                     continue
             und[u] = 0
-            if faithful:
-                fen.add(u, -1)
+            if faithful and u <= cap:
+                cap = und.find(1, cap + 1)
             ucount -= 1
             queue.append(u)
             cur_pos.append(p)

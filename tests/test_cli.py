@@ -125,6 +125,22 @@ def test_gen_config_model(tmp_path):
     (["--model", "forest", "--m", "-2", "--t", "1"], "need 1 <= t <= m"),
     (["--model", "config", "--degrees", "1,x"], "invalid literal"),
     (["--model", "config", "--degrees", "1,1,1"], "degree sum must be even"),
+    # flags the model would ignore
+    (["--n", "10", "--p", "0.3", "--c", "3", "--m", "5", "--t", "2",
+      "--degrees", "1,1"], "gen --model gnp does not read --m, --t, --degrees"),
+    (["--model", "config", "--degrees", "3,3,2,2", "--n", "100", "--p", "0.5"],
+     "gen --model config does not read --n, --p"),
+    (["--model", "config", "--degrees", "2,2", "--eps", "0.1", "--m", "3",
+      "--t", "1"], "gen --model config does not read --eps, --m, --t"),
+    (["--model", "config", "--degrees", "2,2", "--d", "2"],
+     "gen --model config does not read --d"),
+    (["--model", "forest", "--m", "5", "--t", "1", "--n", "5", "--p", "0.5",
+      "--c", "3", "--degrees", "1,1"],
+     "gen --model forest does not read --n, --p, --c, --degrees"),
+    (["--model", "forest", "--m", "5", "--t", "1", "--eps", "0.1"],
+     "gen --model forest does not read --eps"),
+    (["--model", "forest", "--m", "5", "--t", "1", "--d", "2"],
+     "gen --model forest does not read --d"),
 ])
 def test_gen_rejected_model_arguments_exit_64(tmp_path, capsys, flags, fragment):
     out = tmp_path / "out.txt"
@@ -338,6 +354,25 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
     (["find", "--finder", "nope"], "argument --finder: invalid choice: 'nope'"),
     (["experiment", "--suite", "nope"],
      "argument --suite: invalid choice: 'nope'"),
+    # flags the finder would ignore; each is refused before --input is read
+    (["find", "--finder", "cycle", "--input", "absent.edges", "--n", "3000",
+      "--c", "3000", "--eps", "0.3"], "find --finder cycle does not read --input"),
+    (["find", "--finder", "super", "--input", "absent.edges", "--n", "5",
+      "--c", "7"], "find --finder super --input does not read --n, --c"),
+    (["find", "--finder", "sub", "--input", "absent.edges", "--p", "0.5"],
+     "find --finder sub --input does not read --p"),
+    (["find", "--finder", "rbfs", "--input", "absent.edges", "--c", "9",
+      "--d", "2"], "find --finder rbfs --input does not read --c, --d"),
+    (["find", "--finder", "rdfs", "--input", "absent.edges", "--eps", "0.1"],
+     "find --finder rdfs --input does not read --eps"),
+    (["find", "--finder", "sub", "--input", "absent.edges", "--budget", "5",
+      "--alpha", "3"], "find --finder sub --input does not read --budget, --alpha"),
+    (["find", "--finder", "rbfs", "--budget", "5"] + _GNP,
+     "find --finder rbfs does not read --budget"),
+    (["find", "--finder", "rdfs", "--alpha", "1"] + _GNP,
+     "find --finder rdfs does not read --alpha"),
+    (["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "0.1",
+      "--budget", "3"], "find --finder cycle does not read --budget"),
 ])
 def test_refused_parameters_exit_64(capsys, args, fragment):
     code, _ = run_cli(args)
@@ -358,6 +393,23 @@ def test_unwritable_out_exits_64(tmp_path, capsys, args):
     out = tmp_path / "missing" / "out.txt"
     code, _ = run_cli(args + ["--out", str(out)])
     _assert_one_line_usage_error(code, capsys, "No such file", str(out))
+
+
+@pytest.mark.parametrize("flags, read", [
+    # rbfs takes --eps as its growth margin, so --input leaves it open
+    (["--finder", "rbfs", "--alpha", "1", "--eps", "0.1"],
+     {"alpha": 1.0, "eps": 0.1}),
+    (["--finder", "rdfs", "--budget", "50"], {"budget": 50}),
+])
+def test_find_input_keeps_the_finder_flags(tmp_path, flags, read):
+    fixture = tmp_path / "fix.edges"
+    run_cli(["gen", "--n", "300", "--d", "2", "--c", "300", "--seed", "3",
+             "--out", str(fixture)])
+    code, text = run_cli(["find", "--mode", "faithful", "--delta", "0.05",
+                          "--input", str(fixture)] + flags)
+    assert code == 0
+    params = json.loads(text.splitlines()[-1])["params"]
+    assert {k: params[k] for k in read} == read
 
 
 def test_find_unknown_flag_usage(tmp_path):

@@ -636,8 +636,9 @@ def test_rbfs_greedy_linear_tree_envelope():
 # explorers against the Fenwick-tree references
 #
 # The explorers pick each root as the least undiscovered id with a bytearray
-# scan, and greedy RBFS keeps no Fenwick tree; the references below pick it
-# with Fenwick select and keep the tree in every mode.
+# scan, and RBFS keeps no Fenwick tree: faithful mode tracks its pool cap as
+# one rising id. The references below pick the root and the cap with Fenwick
+# select and keep the tree in every mode.
 
 class ReferenceFenwick:
     """Fenwick tree over 0..n-1 counting set members, with rank and select."""
@@ -670,9 +671,6 @@ class ReferenceFenwick:
             s += self.tree[i]
             i -= i & -i
         return s
-
-    def total(self):
-        return self.rank(self.n - 1)
 
     def select(self, k):
         """Smallest id whose prefix count reaches k (1-based)."""
@@ -805,7 +803,8 @@ def fenwick_rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
         path.reverse()
     path_edges = [edge_in[x] for x in path[1:]]
     trace = ExplorationTrace(queries=queries, accepted=accepted,
-                             stop_reason=stop, path=path, path_edges=path_edges)
+                             stop_reason=stop, tree_edges=path_edges,
+                             path=path, rooted=bool(path))
     assert trace.accepted <= trace.queries
     assert is_rainbow(g, path_edges), "RDFS path is not rainbow"
     return trace
@@ -926,7 +925,8 @@ def fenwick_rbfs_forest(g: ColouredGraph, delta: float = 0.1,
 
     close_tree()
     trace = ExplorationTrace(queries=queries, accepted=accepted,
-                             stop_reason=stop, tree_edges=best_edges)
+                             stop_reason=stop, tree_edges=best_edges,
+                             rooted=started)
     assert trace.accepted <= trace.queries
     assert is_rainbow(g, best_edges), "RBFS tree is not rainbow"
     if best_edges:
@@ -943,11 +943,8 @@ def test_fenwick_all_ones_build_matches_reference():
         for i in gen.permutation(n)[:gen.integers(0, n + 1)].tolist():
             fen.add(i, -1)
             ref.add(i, -1)
-        members = ref.total()
         assert [fen.rank(i) for i in range(-1, n)] == \
             [ref.rank(i) for i in range(-1, n)]
-        assert [fen.select(k) for k in range(1, members + 1)] == \
-            [ref.select(k) for k in range(1, members + 1)]
 
 
 @st.composite
@@ -1045,7 +1042,7 @@ def test_spanning_edges_without_edges(n):
 
 def trace_fields(trace):
     return (trace.queries, trace.accepted, trace.stop_reason, trace.path,
-            trace.path_edges, trace.tree_edges)
+            trace.tree_edges, trace.rooted)
 
 
 def assert_matches_reference(finder, reference, g, **kwargs):
@@ -1097,9 +1094,9 @@ def test_explorer_edges_are_ints_carrying_the_path_colours(g, delta):
     # graph a path step names its edge, so _path_colours is a reference
     for kwargs in ({"mode": "greedy"}, {"mode": "faithful", "delta": delta}):
         trace = rdfs_longest_path(g, **kwargs)
-        assert all(type(e) is int for e in trace.path_edges)
-        assert g.colour[trace.path_edges].tolist() == _path_colours(g, trace.path)
-        json.dumps(trace.path_edges)
+        assert all(type(e) is int for e in trace.tree_edges)
+        assert g.colour[trace.tree_edges].tolist() == _path_colours(g, trace.path)
+        json.dumps(trace.tree_edges)
     trace = rbfs_forest(g, mode="greedy")
     assert all(type(e) is int for e in trace.tree_edges)
     json.dumps(trace.tree_edges)
@@ -1118,7 +1115,7 @@ def test_explorers_without_edges(n):
              {"mode": "faithful", "delta": 0.5, "target_order": 1}),
             rdfs_stops):
         trace = rdfs_longest_path(g, **kwargs)
-        assert trace.path == [0][:n] and trace.path_edges == []
+        assert trace.path == [0][:n] and trace.tree_edges == []
         assert (trace.queries, trace.accepted, trace.stop_reason) == \
             (queries, 0, stop)
     trace = rbfs_forest(g, mode="greedy")
@@ -1148,6 +1145,29 @@ def test_rbfs_faithful_pool_cap_moves_and_target_stops():
     assert trace.stop_reason == "target" and trace.order == 10
     reached = {v for e in trace.tree_edges for v in (g.u[e], g.v[e])}
     assert {41, 42, 43} <= reached and not reached & {45, 46, 47, 48, 49}
+
+
+def test_rbfs_faithful_pool_cap_is_read_once_per_scan():
+    # n = 25, delta = 0.28: the pool holds the 18 least undiscovered ids,
+    # so the cap starts at id 17, and the root moves it to 18. With eps = 0
+    # the target is delta n = 7.000000000000001, so the tree passes order 7,
+    # where the pool holds every undiscovered id, without stopping.
+    n = 25
+    adj = {0: [1, 2, 19], 1: [3, 4, 5, 19, 24], 2: [24]}
+    edges = [(a, b, k + 1) for k, (a, b) in
+             enumerate((a, b) for a in adj for b in adj[a])]
+    g = ColouredGraph.from_edges(n, edges, c=len(edges))
+    trace = assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                                     mode="faithful", delta=0.28, alpha=1e9,
+                                     eps=0.0, rng=RngStream(5))
+    # scan of 0, threshold 18: 1 and 2 move the cap to 20, and 19 waits;
+    # scan of 1, threshold 20: 3, 4, 5 and 19 move it to 24, the fourth
+    # leaving 18 undiscovered, and 24 waits; scan of 2 has no cap: 24 joins
+    # and the tree reaches order 8
+    tree = sorted((int(g.u[e]), int(g.v[e])) for e in trace.tree_edges)
+    assert tree == [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 19), (2, 24)]
+    assert (trace.stop_reason, trace.order, trace.queries) == ("target", 8,
+                                                               3 * 18)
 
 
 def test_explorers_pick_roots_in_ascending_order():
@@ -1206,7 +1226,7 @@ def test_sprinkle_refuses_multigraphs():
                                  multigraph=True)
     trace = rdfs_longest_path(g, mode="greedy")
     assert trace.path == [0, 2, 1]
-    assert g.colour[trace.path_edges].tolist() == [1, 2]
+    assert g.colour[trace.tree_edges].tolist() == [1, 2]
     with pytest.raises(ValueError, match="simple"):
         sprinkle_close_cycle(g, trace.path, [(0, 1, 3)], delta=1.0)
     with pytest.raises(ValueError, match="simple"):
@@ -1425,7 +1445,7 @@ def test_finders_stay_within_the_exact_optimum(g):
     check_rainbow_tree(g, tree)
     assert len(tree) <= best
     trace = rdfs_longest_path(g, mode="greedy")
-    path, edges = trace.path, trace.path_edges
+    path, edges = trace.path, trace.tree_edges
     assert len(set(path)) == len(path) == min(g.n, len(edges) + 1)
     for a, b, e in zip(path, path[1:], edges):
         assert {a, b} == {int(g.u[e]), int(g.v[e])}
