@@ -159,16 +159,16 @@ def _load_or_generate(args):
         if g.c < 1:
             _usage_error(f"edge list {args.input} is uncoloured (c = 0)")
         return g
-    if args.n is None or args.c is None:
-        _usage_error("find requires --input or generator flags")
     gen = RngStream(args.seed, 0).generator()
-    g = sample_gnp(args.n, _resolve_p(args), gen)
-    return colour_uniform(g, args.c, gen)
+    return colour_uniform(sample_gnp(args.n, args.p, gen), args.c, gen)
+
+
+# the flags rdfs and rbfs alone read, each with the value it falls back to
+_EXPLORER_DEFAULTS = {"delta": 0.1, "mode": "greedy"}
 
 
 def cmd_find(args) -> int:
-    # the edge list is the graph; beside it, rbfs alone reads --eps, as
-    # its growth margin
+    # --input is the graph; beside it rbfs alone reads --eps, its growth margin
     command = f"find --finder {args.finder}"
     unread = []
     if args.finder == "cycle":
@@ -178,60 +178,63 @@ def cmd_find(args) -> int:
         unread = ["n", "c", "p", "d"] + (["eps"] if args.finder != "rbfs" else [])
     unread += [name for name, finder in (("budget", "rdfs"), ("alpha", "rbfs"))
                if args.finder != finder]
+    explorer = args.finder in ("rdfs", "rbfs")
+    if not explorer:
+        unread += list(_EXPLORER_DEFAULTS)
     _refuse_unread(args, unread, command)
+    if args.c is not None and args.c < 1:
+        _usage_error("find needs --c of at least 1")
+    if args.finder == "cycle":
+        if args.n is None or args.c is None or args.eps is None:
+            _usage_error("cycle finder needs --n, --c, --eps")
+    elif args.input is None:
+        if args.n is None or args.c is None:
+            _usage_error("find requires --input or generator flags")
+        args.p = _resolve_p(args)
+    for name, default in _EXPLORER_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     config = {"command": "find", "finder": args.finder, "seed": args.seed,
               "input": args.input, "n": args.n, "c": args.c,
               "delta": args.delta, "alpha": args.alpha, "eps": args.eps,
               "mode": args.mode, "budget": args.budget}
     _echo(config)
-    if args.c is not None and args.c < 1:
-        _usage_error("find needs --c of at least 1")
     t0 = time.perf_counter()
     record = {"finder": args.finder, "seed": args.seed,
               "params": {k: v for k, v in config.items()
                          if k not in ("command",) and v is not None}}
     try:
         if args.finder == "cycle":
-            if args.n is None or args.c is None or args.eps is None:
-                _usage_error("cycle finder needs --n, --c, --eps")
             cycle = find_rainbow_cycle_weakly_super(args.n, args.c, args.eps,
                                                     RngStream(args.seed, 0))
-            record["length"] = len(cycle)
-            record["edges"] = [list(e) for e in cycle]
+            record.update(length=len(cycle), edges=[list(e) for e in cycle])
         else:
             g = _load_or_generate(args)
             if args.finder == "sub":
                 # the finder asserts a tree; an empty one is a single vertex
                 tree = subcritical_rainbow_tree(g)
-                record["order"] = tree.size + 1 if g.n else 0
-                record["edges"] = sorted(int(e) for e in tree)
+                record.update(order=tree.size + 1 if g.n else 0,
+                              edges=sorted(int(e) for e in tree))
             elif args.finder == "super":
                 tree, report = supercritical_rainbow_tree(g)
-                record["order"] = report.final_tree_order
-                record["report"] = report.as_dict()
-                record["edges"] = sorted(int(e) for e in tree)
+                record.update(order=report.final_tree_order,
+                              report=report.as_dict(),
+                              edges=sorted(int(e) for e in tree))
             elif args.finder == "rdfs":
                 trace = rdfs_longest_path(g, mode=args.mode, delta=args.delta,
                                           query_budget=args.budget)
-                record["length"] = trace.length
-                record["queries"] = trace.queries
-                record["accepted"] = trace.accepted
-                record["stop_reason"] = trace.stop_reason
-                record["path"] = trace.path
+                record.update(length=trace.length, path=trace.path)
             else:  # rbfs: argparse's choices refuse any other finder
                 trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
                                     mode=args.mode, eps=args.eps,
                                     rng=RngStream(args.seed, 1))
-                record["order"] = trace.order
-                record["queries"] = trace.queries
-                record["accepted"] = trace.accepted
-                record["stop_reason"] = trace.stop_reason
-                record["edges"] = sorted(int(e) for e in trace.tree_edges)
-    except EmptyCoreError as exc:
-        sys.stderr.write(f"EmptyCore: {exc}\n")
-        return EXIT_STRUCTURAL
-    except NotFoundError as exc:
-        sys.stderr.write(f"NotFound: {exc}\n")
+                record.update(order=trace.order,
+                              edges=sorted(int(e) for e in trace.tree_edges))
+            if explorer:
+                record.update(queries=trace.queries, accepted=trace.accepted,
+                              stop_reason=trace.stop_reason)
+    except (EmptyCoreError, NotFoundError) as exc:
+        sys.stderr.write(f"{type(exc).__name__.removesuffix('Error')}: {exc}\n")
         return EXIT_STRUCTURAL
     wall_ms = (time.perf_counter() - t0) * 1000.0
     if args.out:
@@ -253,33 +256,27 @@ _SUITES = {"min-split": None, "bridge": None, "double-bridge": None,
 def _run_suite(name, reps, seed, threads, n):
     """Returns (config, rows, checks) for one named suite of size ``n``."""
     if name == "min-split":
-        rows, checks = exps.exp_min_split((4, 100, 400, 1600), reps, seed,
-                                          threads=threads)
-        params = (("m_grid", "4/100/400/1600"),)
+        run, kw = exps.exp_min_split, {"m_grid": (4, 100, 400, 1600)}
     elif name == "bridge":
-        rows, checks = exps.exp_bridge_number(1000, 50, reps, seed,
-                                              threads=threads)
-        params = (("m", 1000), ("t", 50))
+        run, kw = exps.exp_bridge_number, {"m": 1000, "t": 50}
     elif name == "double-bridge":
-        rows, checks = exps.exp_min_double_bridge((10, 100, 1000), reps, seed)
-        params = (("t_grid", "10/100/1000"),
-                  ("m_factor", exps.DOUBLE_BRIDGE_M_FACTOR))
+        run, kw = exps.exp_min_double_bridge, {"t_grid": (10, 100, 1000)}
     elif name == "borel":
-        m, t = n, max(n // 100, 2)
-        rows, checks = exps.exp_tree_size_law(m, t, reps, seed)
-        params = (("m", m), ("t", t))
+        run, kw = exps.exp_tree_size_law, {"m": n, "t": max(n // 100, 2)}
     elif name == "phase":
-        rows, checks = exps.exp_phase_transition(n, n, (-0.05, 0.05), reps,
-                                                 seed, threads=threads)
-        params = (("n", n), ("c", n), ("eps_grid", "-0.05/0.05"))
+        run, kw = exps.exp_phase_transition, {"n": n, "c": n,
+                                              "eps_grid": (-0.05, 0.05)}
     elif name == "giant":
-        rows, checks = exps.exp_giant_benchmark(n, 2.0, reps, seed,
-                                                threads=threads)
-        params = (("n", n), ("d", 2.0))
+        run, kw = exps.exp_giant_benchmark, {"n": n, "d": 2.0}
     else:  # cycle: argparse's choices refuse any other suite
-        rows, checks = exps.exp_cycle(n, n, 129.0, 0.5, reps, seed,
-                                      threads=threads)
-        params = (("n", n), ("c", n), ("d", 129.0), ("delta", 0.5))
+        run, kw = exps.exp_cycle, {"n": n, "c": n, "d": 129.0, "delta": 0.5}
+    # double-bridge and borel draw from one stream, so take no threads
+    pool = {} if name in ("double-bridge", "borel") else {"threads": threads}
+    rows, checks = run(**kw, reps=reps, seed=seed, **pool)
+    params = tuple((k, "/".join(map(str, v)) if isinstance(v, tuple) else v)
+                   for k, v in kw.items())
+    if name == "double-bridge":
+        params += (("m_factor", exps.DOUBLE_BRIDGE_M_FACTOR),)
     config = ExperimentConfig(name=name, reps=reps, seed=seed, params=params)
     return config, rows, checks
 
@@ -339,12 +336,14 @@ def build_parser() -> _Parser:
                       choices=("sub", "super", "rdfs", "rbfs", "cycle"))
     find.add_argument("--input", default=None, help="edge-list file to load")
     _add_generator_flags(find)
-    find.add_argument("--delta", type=float, default=0.1,
-                      help="exploration slack fraction")
+    find.add_argument("--delta", type=float, default=None,
+                      help="exploration slack fraction, rdfs and rbfs only "
+                           f"(falls back to {_EXPLORER_DEFAULTS['delta']})")
     find.add_argument("--alpha", type=float, default=None,
                       help="colour ratio c/n (rbfs)")
-    find.add_argument("--mode", choices=("faithful", "greedy"),
-                      default="greedy", help="exploration mode")
+    find.add_argument("--mode", choices=("faithful", "greedy"), default=None,
+                      help="exploration mode, rdfs and rbfs only "
+                           f"(falls back to {_EXPLORER_DEFAULTS['mode']})")
     find.add_argument("--budget", type=_int_at_least(0), default=None,
                       help="query budget override (rdfs faithful)")
     find.add_argument("--out", default=None, help="write the JSON record here")

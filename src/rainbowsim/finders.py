@@ -31,7 +31,7 @@ class InvalidDeltaError(ValueError):
 
 
 class InvalidEpsilonError(ValueError):
-    """epsilon outside (0, 1)."""
+    """epsilon outside the range its finder supports."""
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
                              stop_reason=stop, tree_edges=path_edges,
                              path=path, rooted=bool(path))
     assert trace.accepted <= trace.queries
-    assert is_rainbow(g, path_edges), "RDFS path is not rainbow"
+    _assert_rainbow_tree(g, path_edges)
     return trace
 
 
@@ -432,6 +432,9 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
         alpha = g.c / n if n else 1.0
     faithful = mode == "faithful"
     if faithful:
+        # min(1, nan) is 1, so the delta test alone lets a NaN alpha through
+        if not math.isfinite(alpha):
+            raise InvalidDeltaError(f"need a finite alpha, got {alpha}")
         if not (0.0 < delta < min(1.0, alpha)):
             raise InvalidDeltaError("need 0 < delta < min(1, alpha)")
         if eps is None:
@@ -442,6 +445,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
                     "delta too large to induce a growth margin: need delta <= "
                     f"kappa^2/4 = {kappa * kappa / 4.0} at alpha = {alpha}")
             eps = (kappa - math.sqrt(disc)) / 2.0
+        elif not math.isfinite(eps):
+            raise InvalidEpsilonError(f"need a finite eps, got {eps}")
         pool_cap = int((1.0 - delta) * n)
         if pool_cap < 1:
             raise InvalidDeltaError("pool cap below one vertex")
@@ -637,15 +642,25 @@ def close_cycle_edges(g1: ColouredGraph, path, edge):
 
 
 def check_cycle(cycle_edges) -> None:
-    """Assert the edge triples form a closed rainbow cycle."""
+    """Assert the edge triples form one closed rainbow cycle."""
+    assert cycle_edges, "cycle is empty"
     cols = [c for _, _, c in cycle_edges]
     assert len(set(cols)) == len(cols), "cycle is not rainbow"
-    deg = {}
+    nbrs = {}
     for a, b, _ in cycle_edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    assert all(d == 2 for d in deg.values()), "cycle is not closed"
-    assert len(deg) == len(cycle_edges), "cycle has wrong order"
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    assert all(len(x) == 2 for x in nbrs.values()), "cycle is not closed"
+    # every vertex has degree 2 (so there are as many vertices as edges), and
+    # the walk from the first vertex comes back to it; it takes every edge
+    # only if the edges form one cycle
+    prev, x = cycle_edges[0][:2]
+    start, steps = prev, 1
+    while x != start:
+        a, b = nbrs[x]
+        prev, x = x, b if a == prev else a
+        steps += 1
+    assert steps == len(cycle_edges), "cycle is not connected"
 
 
 def _sprinkle_round(g1: ColouredGraph, path, p1: float, p: float,

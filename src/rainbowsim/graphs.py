@@ -175,7 +175,6 @@ class VertexPartition:
     order.
     """
 
-    n: int
     labels: np.ndarray
     sizes_desc: np.ndarray
 
@@ -199,7 +198,7 @@ def connected_components(g: ColouredGraph) -> VertexPartition:
     labels = rep[raw]
     sizes = np.bincount(raw, minlength=ncomp)
     sizes = np.sort(sizes)[::-1].astype(np.int64)
-    return VertexPartition(n=g.n, labels=labels, sizes_desc=sizes)
+    return VertexPartition(labels=labels, sizes_desc=sizes)
 
 
 def _peel(g: ColouredGraph):

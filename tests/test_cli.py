@@ -373,8 +373,34 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
      "find --finder rdfs does not read --alpha"),
     (["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "0.1",
       "--budget", "3"], "find --finder cycle does not read --budget"),
+    # faithful rbfs needs a finite growth margin; path.edges is a rainbow path
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--input", "path.edges",
+      "--delta", "0.05", "--eps", "nan"], "need a finite eps, got nan"),
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--input", "path.edges",
+      "--delta", "0.05", "--eps", "inf"], "need a finite eps, got inf"),
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--input", "path.edges",
+      "--delta", "0.05", "--alpha", "nan"], "need a finite alpha, got nan"),
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--delta", "0.05",
+      "--alpha", "nan"] + _GNP, "need a finite alpha, got nan"),
+    # only rdfs and rbfs read --delta and --mode
+    (["find", "--finder", "sub", "--input", "path.edges", "--delta", "0.5"],
+     "find --finder sub --input does not read --delta"),
+    (["find", "--finder", "sub", "--mode", "greedy"] + _GNP,
+     "find --finder sub does not read --mode"),
+    (["find", "--finder", "super", "--input", "path.edges", "--delta", "0.9",
+      "--mode", "faithful"], "find --finder super --input does not read --delta, --mode"),
+    (["find", "--finder", "super", "--delta", "0.1"] + _GNP,
+     "find --finder super does not read --delta"),
+    (["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "0.1",
+      "--delta", "0.3"], "find --finder cycle does not read --delta"),
+    (["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "0.1",
+      "--mode", "faithful", "--budget", "3"],
+     "find --finder cycle does not read --budget, --mode"),
 ])
-def test_refused_parameters_exit_64(capsys, args, fragment):
+def test_refused_parameters_exit_64(tmp_path, monkeypatch, capsys, args,
+                                    fragment):
+    monkeypatch.chdir(tmp_path)
+    _write_rainbow_path(tmp_path)
     code, _ = run_cli(args)
     assert code == 64
     err = capsys.readouterr().err
@@ -382,6 +408,27 @@ def test_refused_parameters_exit_64(capsys, args, fragment):
     # argparse refusals print the usage lines first
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and fragment in errors[0]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--finder", "sub", "--n", "50", "--c", "5", "--p", "0.1", "--delta", "0.2"],
+    ["--finder", "super", "--input", "path.edges", "--mode", "greedy"],
+    ["--finder", "rdfs", "--input", "path.edges", "--n", "5"],
+    ["--finder", "cycle", "--n", "100", "--c", "100"],             # no --eps
+    ["--finder", "sub", "--n", "100", "--eps", "0.1"],             # no --c
+    ["--finder", "sub", "--n", "50", "--c", "0", "--eps", "0.2"],  # --c of 0
+    ["--finder", "rbfs", "--n", "50", "--c", "5"],                 # no p
+    ["--finder", "sub", "--n", "0", "--c", "5", "--eps", "0.1"],
+    ["--finder", "rdfs", "--n", "10", "--c", "3", "--d", "20"],    # p = 2
+])
+def test_find_flag_checks_leave_stdout_empty(tmp_path, monkeypatch, capsys,
+                                             flags):
+    # every check on find's own flags runs before the config echo
+    monkeypatch.chdir(tmp_path)
+    _write_rainbow_path(tmp_path)
+    code, text = run_cli(["find", "--out", "record.json"] + flags)
+    _assert_one_line_usage_error(code, capsys)
+    assert text == "" and not (tmp_path / "record.json").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -496,6 +543,26 @@ def test_experiment_csv_thread_invariant(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# each suite's echoed config at --reps 3 --seed 1 --n 4000, verbatim; the
+# suite's call takes its parameters from the same dict, so this pins them too
+_ALL_SUITE_HEADERS = [
+    '# {"envelopes_version": "2025.1", "experiment": "min-split", '
+    '"m_grid": "4/100/400/1600", "reps": 3, "seed": 1}',
+    '# {"envelopes_version": "2025.1", "experiment": "bridge", "m": 1000, '
+    '"reps": 3, "seed": 1, "t": 50}',
+    '# {"envelopes_version": "2025.1", "experiment": "double-bridge", '
+    '"m_factor": 100, "reps": 3, "seed": 1, "t_grid": "10/100/1000"}',
+    '# {"envelopes_version": "2025.1", "experiment": "borel", "m": 4000, '
+    '"reps": 3, "seed": 1, "t": 40}',
+    '# {"c": 4000, "envelopes_version": "2025.1", "eps_grid": "-0.05/0.05", '
+    '"experiment": "phase", "n": 4000, "reps": 3, "seed": 1}',
+    '# {"d": 2.0, "envelopes_version": "2025.1", "experiment": "giant", '
+    '"n": 4000, "reps": 3, "seed": 1}',
+    '# {"c": 4000, "d": 129.0, "delta": 0.5, "envelopes_version": "2025.1", '
+    '"experiment": "cycle", "n": 4000, "reps": 3, "seed": 1}',
+]
+
+
 def test_experiment_smoke_all(tmp_path):
     # every suite runs end to end at toy sizes; envelope failures at these
     # sizes are expected and only affect the exit code
@@ -518,6 +585,10 @@ def test_experiment_smoke_all(tmp_path):
         raw = json.load(fh)
     assert [suite["config"]["experiment"] for suite in raw] == list(names)
     assert sum(len(suite["checks"]) for suite in raw) == len(printed)
+    # the echo on stdout and the CSV header state the same config
+    assert [ln for ln in lines if ln.startswith("# {")] == _ALL_SUITE_HEADERS
+    assert [ln for ln in text.splitlines() if ln.startswith("config ")] == [
+        "config " + ln[2:] for ln in _ALL_SUITE_HEADERS]
 
 
 def test_help_lists_defaults():

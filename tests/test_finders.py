@@ -561,6 +561,24 @@ def test_rdfs_rejects_negative_budget(mode):
         rdfs_longest_path(g, mode=mode, delta=0.5, query_budget=-5)
 
 
+@pytest.mark.parametrize("mode", ["greedy", "faithful"])
+def test_rdfs_path_goes_through_the_tree_assert(monkeypatch, mode):
+    # the path's edges get the same hard check as the tree finders' output
+    import rainbowsim.finders as finders
+    seen = []
+    check = finders._assert_rainbow_tree
+
+    def recording_check(g, ids):
+        seen.append(list(ids))
+        check(g, ids)
+
+    monkeypatch.setattr(finders, "_assert_rainbow_tree", recording_check)
+    gen = RngStream(81).generator()
+    g = colour_uniform(sample_gnp(60, 0.1, gen), 30, gen)
+    trace = rdfs_longest_path(g, mode=mode, delta=0.5)
+    assert seen == [trace.tree_edges] and len(trace.tree_edges) > 1
+
+
 def test_rdfs_respects_invalid_mode_and_delta():
     g = ColouredGraph.from_edges(2, [(0, 1, 1)], c=1)
     with pytest.raises(ValueError):
@@ -597,6 +615,18 @@ def test_rbfs_invalid_delta():
         rbfs_forest(g, delta=1.2, mode="faithful")
     with pytest.raises(InvalidDeltaError):
         rbfs_forest(g, delta=0.9, alpha=0.5, mode="faithful")
+
+
+@pytest.mark.parametrize("kw, error", [
+    ({"eps": math.nan}, InvalidEpsilonError),
+    ({"eps": math.inf}, InvalidEpsilonError),
+    ({"alpha": math.nan}, InvalidDeltaError),     # min(1, nan) is 1
+    ({"alpha": math.inf}, InvalidDeltaError),
+])
+def test_rbfs_faithful_refuses_non_finite_eps_and_alpha(kw, error):
+    g = ColouredGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)], c=2)
+    with pytest.raises(error, match="need a finite"):
+        rbfs_forest(g, delta=0.05, mode="faithful", **kw)
 
 
 def test_rbfs_faithful_runs_and_is_rainbow():
@@ -1202,6 +1232,27 @@ def test_sprinkle_closes_full_cycle():
     cycle = close_cycle_edges(g1, path, edge)
     check_cycle(cycle)
     assert len(cycle) == 11
+
+
+@pytest.mark.parametrize("a, b", [(3, 7), (7, 3), (0, 2), (10, 8)])
+def test_close_cycle_edges_passes_check_cycle(a, b):
+    # a closing edge inside the path, given in either order
+    cycle = close_cycle_edges(_rainbow_path_graph(10), list(range(11)),
+                              (a, b, 99))
+    check_cycle(cycle)
+    assert len(cycle) == abs(a - b) + 1
+
+
+@pytest.mark.parametrize("cycle, message", [
+    ([(0, 1, 1), (1, 2, 2), (2, 0, 3), (3, 4, 4), (4, 5, 5), (5, 3, 6)],
+     "not connected"),                      # two disjoint rainbow triangles
+    ([], "empty"),
+    ([(0, 1, 1), (1, 2, 2), (2, 0, 1)], "not rainbow"),
+    ([(0, 1, 1), (1, 2, 2), (2, 3, 3)], "not closed"),
+])
+def test_check_cycle_refuses_what_is_not_one_rainbow_cycle(cycle, message):
+    with pytest.raises(AssertionError, match=message):
+        check_cycle(cycle)
 
 
 def test_sprinkle_empty_second_round():
