@@ -72,7 +72,8 @@ def _add_generator_flags(sub):
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--p", type=float, default=None, help="edge probability")
     group.add_argument("--eps", type=float, default=None,
-                       help="edge probability (1+eps)/n")
+                       help="edge probability (1+eps)/n; find's faithful "
+                            "rbfs also reads it as its growth margin")
     group.add_argument("--d", type=float, default=None, help="edge probability d/n")
     sub.add_argument("--c", type=_int_at_least(0), default=None,
                      help="colour count")
@@ -117,9 +118,9 @@ def cmd_gen(args) -> int:
     if args.model == "forest":
         if args.m is None or args.t is None:
             _usage_error("gen --model forest requires --m and --t")
+        f = sample_uniform_forest(args.m, args.t, rng)
         _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
                "seed": args.seed, "out": args.out})
-        f = sample_uniform_forest(args.m, args.t, rng)
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(forest_to_line(f) + "\n")
         print(f"m={f.m} t={f.t} edges={f.m - f.t}")
@@ -150,47 +151,46 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_or_generate(args):
-    if args.input:
+# the flags rdfs and rbfs alone read, each with the value it falls back to
+_EXPLORER_DEFAULTS = {"delta": 0.1, "mode": "greedy"}
+# what a faithful explorer reads beside its graph and --mode; a greedy one
+# reads only --mode, and sub, super and cycle read none of these flags
+_FAITHFUL_READS = {"rdfs": ("delta", "budget"), "rbfs": ("delta", "alpha", "eps")}
+
+
+def cmd_find(args) -> int:
+    command = f"find --finder {args.finder}"
+    explorer = args.finder in _FAITHFUL_READS
+    unread = []
+    if args.finder == "cycle":
+        unread = ["input"]
+    elif args.input is not None:
+        command += " --input"
+        unread = ["n", "c", "p", "d", "eps"]
+    reads = ["mode"] if explorer else []
+    if explorer and (args.mode or _EXPLORER_DEFAULTS["mode"]) == "faithful":
+        reads += _FAITHFUL_READS[args.finder]
+    unread = [name for name in unread + ["budget", "alpha", "delta", "mode"]
+              if name not in reads]
+    _refuse_unread(args, unread, command)
+    if args.c is not None and args.c < 1:
+        _usage_error("find needs --c of at least 1")
+    t0 = time.perf_counter()
+    if args.finder == "cycle":
+        if args.n is None or args.c is None or args.eps is None:
+            _usage_error("cycle finder needs --n, --c, --eps")
+    elif args.input is not None:
         try:
             g = read_edgelist(args.input)
         except (OSError, ValueError) as exc:
             _usage_error(f"cannot read edge list {args.input}: {exc}")
         if g.c < 1:
             _usage_error(f"edge list {args.input} is uncoloured (c = 0)")
-        return g
-    gen = RngStream(args.seed, 0).generator()
-    return colour_uniform(sample_gnp(args.n, args.p, gen), args.c, gen)
-
-
-# the flags rdfs and rbfs alone read, each with the value it falls back to
-_EXPLORER_DEFAULTS = {"delta": 0.1, "mode": "greedy"}
-
-
-def cmd_find(args) -> int:
-    # --input is the graph; beside it rbfs alone reads --eps, its growth margin
-    command = f"find --finder {args.finder}"
-    unread = []
-    if args.finder == "cycle":
-        unread = ["input"]
-    elif args.input is not None:
-        command += " --input"
-        unread = ["n", "c", "p", "d"] + (["eps"] if args.finder != "rbfs" else [])
-    unread += [name for name, finder in (("budget", "rdfs"), ("alpha", "rbfs"))
-               if args.finder != finder]
-    explorer = args.finder in ("rdfs", "rbfs")
-    if not explorer:
-        unread += list(_EXPLORER_DEFAULTS)
-    _refuse_unread(args, unread, command)
-    if args.c is not None and args.c < 1:
-        _usage_error("find needs --c of at least 1")
-    if args.finder == "cycle":
-        if args.n is None or args.c is None or args.eps is None:
-            _usage_error("cycle finder needs --n, --c, --eps")
-    elif args.input is None:
-        if args.n is None or args.c is None:
-            _usage_error("find requires --input or generator flags")
-        args.p = _resolve_p(args)
+    elif args.n is None or args.c is None:
+        _usage_error("find requires --input or generator flags")
+    else:
+        gen = RngStream(args.seed, 0).generator()
+        g = colour_uniform(sample_gnp(args.n, _resolve_p(args), gen), args.c, gen)
     for name, default in _EXPLORER_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -199,7 +199,6 @@ def cmd_find(args) -> int:
               "delta": args.delta, "alpha": args.alpha, "eps": args.eps,
               "mode": args.mode, "budget": args.budget}
     _echo(config)
-    t0 = time.perf_counter()
     record = {"finder": args.finder, "seed": args.seed,
               "params": {k: v for k, v in config.items()
                          if k not in ("command",) and v is not None}}
@@ -208,31 +207,29 @@ def cmd_find(args) -> int:
             cycle = find_rainbow_cycle_weakly_super(args.n, args.c, args.eps,
                                                     RngStream(args.seed, 0))
             record.update(length=len(cycle), edges=[list(e) for e in cycle])
-        else:
-            g = _load_or_generate(args)
-            if args.finder == "sub":
-                # the finder asserts a tree; an empty one is a single vertex
-                tree = subcritical_rainbow_tree(g)
-                record.update(order=tree.size + 1 if g.n else 0,
-                              edges=sorted(int(e) for e in tree))
-            elif args.finder == "super":
-                tree, report = supercritical_rainbow_tree(g)
-                record.update(order=report.final_tree_order,
-                              report=report.as_dict(),
-                              edges=sorted(int(e) for e in tree))
-            elif args.finder == "rdfs":
-                trace = rdfs_longest_path(g, mode=args.mode, delta=args.delta,
-                                          query_budget=args.budget)
-                record.update(length=trace.length, path=trace.path)
-            else:  # rbfs: argparse's choices refuse any other finder
-                trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
-                                    mode=args.mode, eps=args.eps,
-                                    rng=RngStream(args.seed, 1))
-                record.update(order=trace.order,
-                              edges=sorted(int(e) for e in trace.tree_edges))
-            if explorer:
-                record.update(queries=trace.queries, accepted=trace.accepted,
-                              stop_reason=trace.stop_reason)
+        elif args.finder == "sub":
+            # the finder asserts a tree; an empty one is a single vertex
+            tree = subcritical_rainbow_tree(g)
+            record.update(order=tree.size + 1 if g.n else 0,
+                          edges=sorted(int(e) for e in tree))
+        elif args.finder == "super":
+            tree, report = supercritical_rainbow_tree(g)
+            record.update(order=report.final_tree_order,
+                          report=report.as_dict(),
+                          edges=sorted(int(e) for e in tree))
+        elif args.finder == "rdfs":
+            trace = rdfs_longest_path(g, mode=args.mode, delta=args.delta,
+                                      query_budget=args.budget)
+            record.update(length=trace.length, path=trace.path)
+        else:  # rbfs: argparse's choices refuse any other finder
+            trace = rbfs_forest(g, delta=args.delta, alpha=args.alpha,
+                                mode=args.mode, eps=args.eps,
+                                rng=RngStream(args.seed, 1))
+            record.update(order=trace.order,
+                          edges=sorted(int(e) for e in trace.tree_edges))
+        if explorer:
+            record.update(queries=trace.queries, accepted=trace.accepted,
+                          stop_reason=trace.stop_reason)
     except (EmptyCoreError, NotFoundError) as exc:
         sys.stderr.write(f"{type(exc).__name__.removesuffix('Error')}: {exc}\n")
         return EXIT_STRUCTURAL
@@ -337,15 +334,15 @@ def build_parser() -> _Parser:
     find.add_argument("--input", default=None, help="edge-list file to load")
     _add_generator_flags(find)
     find.add_argument("--delta", type=float, default=None,
-                      help="exploration slack fraction, rdfs and rbfs only "
-                           f"(falls back to {_EXPLORER_DEFAULTS['delta']})")
+                      help="exploration slack fraction, faithful rdfs and rbfs "
+                           f"only (falls back to {_EXPLORER_DEFAULTS['delta']})")
     find.add_argument("--alpha", type=float, default=None,
-                      help="colour ratio c/n (rbfs)")
+                      help="colour ratio c/n (faithful rbfs)")
     find.add_argument("--mode", choices=("faithful", "greedy"), default=None,
                       help="exploration mode, rdfs and rbfs only "
                            f"(falls back to {_EXPLORER_DEFAULTS['mode']})")
     find.add_argument("--budget", type=_int_at_least(0), default=None,
-                      help="query budget override (rdfs faithful)")
+                      help="query budget override (faithful rdfs)")
     find.add_argument("--out", default=None, help="write the JSON record here")
     find.set_defaults(func=cmd_find)
 

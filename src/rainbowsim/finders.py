@@ -422,7 +422,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     rejection probability up to exactly delta/alpha, and stops once a tree
     reaches order delta n - eps^2 n or, with the queue empty, the forest
     reaches order eps^2 n. ``greedy`` drops all of that and explores
-    everything. The trace carries the largest tree found.
+    everything. The trace carries the largest tree found. Faithful mode
+    refuses a negative or non-finite ``eps`` (InvalidEpsilonError).
     """
     _require_coloured(g)
     if mode not in ("faithful", "greedy"):
@@ -447,6 +448,9 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             eps = (kappa - math.sqrt(disc)) / 2.0
         elif not math.isfinite(eps):
             raise InvalidEpsilonError(f"need a finite eps, got {eps}")
+        elif eps < 0:
+            # only eps^2 is read, so a negative eps would run as |eps|
+            raise InvalidEpsilonError(f"need eps >= 0, got {eps}")
         pool_cap = int((1.0 - delta) * n)
         if pool_cap < 1:
             raise InvalidDeltaError("pool cap below one vertex")

@@ -77,9 +77,12 @@ class ColouredGraph:
     multigraph: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _as_index_array(self.u))
-        object.__setattr__(self, "v", _as_index_array(self.v))
-        object.__setattr__(self, "colour", _as_index_array(self.colour))
+        for name in ("u", "v", "colour"):
+            a = np.asarray(getattr(self, name))
+            # a cast would truncate 1.7 to 1; an empty list arrives as float64
+            if a.size and a.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+            object.__setattr__(self, name, _as_index_array(a))
         _check_arrays(self.n, self.c, self.u, self.v, self.colour)
         if not self.multigraph:
             kind = _multi_edges(self.n, self.u, self.v)
@@ -109,10 +112,7 @@ class ColouredGraph:
     def from_edges(cls, n, edges, c=0, multigraph=False) -> "ColouredGraph":
         """Build from an iterable of (u, v, colour) triples."""
         edges = list(edges)
-        if edges:
-            u, v, col = (np.array(x, dtype=np.int64) for x in zip(*edges))
-        else:
-            u = v = col = np.zeros(0, dtype=np.int64)
+        u, v, col = zip(*edges) if edges else ((), (), ())
         return cls(n=n, c=c, u=u, v=v, colour=col, multigraph=multigraph)
 
     def edge_list(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -147,6 +148,15 @@ def test_gen_rejected_model_arguments_exit_64(tmp_path, capsys, flags, fragment)
     code, _ = run_cli(["gen"] + flags + ["--out", str(out)])
     _assert_one_line_usage_error(code, capsys, fragment)
     assert not out.exists()
+
+
+def test_gen_forest_refusal_leaves_stdout_empty(tmp_path, capsys):
+    # the forest is sampled, and so --m/--t checked, before the echo
+    out = tmp_path / "f.txt"
+    code, text = run_cli(["gen", "--model", "forest", "--m", "5", "--t", "0",
+                          "--out", str(out)])
+    _assert_one_line_usage_error(code, capsys, "need 1 <= t <= m")
+    assert text == "" and not out.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -396,6 +406,16 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
     (["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "0.1",
       "--mode", "faithful", "--budget", "3"],
      "find --finder cycle does not read --budget, --mode"),
+    # a greedy explorer, greedy being the fallback mode, reads only --mode
+    (["find", "--finder", "rdfs", "--input", "path.edges", "--budget", "3"],
+     "find --finder rdfs --input does not read --budget"),
+    (["find", "--finder", "rdfs", "--mode", "greedy", "--delta", "0.4"] + _GNP,
+     "find --finder rdfs does not read --delta"),
+    (["find", "--finder", "rbfs", "--input", "path.edges", "--alpha", "7",
+      "--eps", "0.4"], "find --finder rbfs --input does not read --eps, --alpha"),
+    # faithful rbfs reads only eps^2, so a negative eps would run as |eps|
+    (["find", "--finder", "rbfs", "--mode", "faithful", "--input", "path.edges",
+      "--delta", "0.05", "--eps", "-0.1"], "need eps >= 0, got -0.1"),
 ])
 def test_refused_parameters_exit_64(tmp_path, monkeypatch, capsys, args,
                                     fragment):
@@ -420,12 +440,17 @@ def test_refused_parameters_exit_64(tmp_path, monkeypatch, capsys, args,
     ["--finder", "rbfs", "--n", "50", "--c", "5"],                 # no p
     ["--finder", "sub", "--n", "0", "--c", "5", "--eps", "0.1"],
     ["--finder", "rdfs", "--n", "10", "--c", "3", "--d", "20"],    # p = 2
+    # the graph is read before the echo too
+    ["--finder", "sub", "--input", "absent.edges"],
+    ["--finder", "super", "--input", "plain.edges"],               # c = 0
+    ["--finder", "rbfs", "--input", "path.edges", "--alpha", "2"],  # greedy
 ])
 def test_find_flag_checks_leave_stdout_empty(tmp_path, monkeypatch, capsys,
                                              flags):
     # every check on find's own flags runs before the config echo
     monkeypatch.chdir(tmp_path)
     _write_rainbow_path(tmp_path)
+    (tmp_path / "plain.edges").write_text("3 0\n0 1 0\n1 2 0\n")
     code, text = run_cli(["find", "--out", "record.json"] + flags)
     _assert_one_line_usage_error(code, capsys)
     assert text == "" and not (tmp_path / "record.json").exists()
@@ -495,6 +520,95 @@ def test_find_out_file_deterministic(tmp_path):
              "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert "wall_time_ms" not in json.loads(a.read_text())
+
+
+# accepted find runs on two gen graphs, a G(n, p) and a configuration
+# multigraph, each pinned to its config line and the SHA-256 of its --out
+# record; None marks a structural miss, which writes no record
+@pytest.mark.parametrize("flags, config, digest", [
+    pytest.param(["--finder", "sub", "--input", "g.edges"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.1, "eps": null, "finder": "sub", '
+                 '"input": "g.edges", "mode": "greedy", "n": null, "seed": 0}',
+                 "a6e49fc2205697480f059ed54b3b67cfeff31cf7766ab97b290e5a60acff527f",
+                 id="sub"),
+    pytest.param(["--finder", "super", "--input", "g.edges"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.1, "eps": null, "finder": "super", '
+                 '"input": "g.edges", "mode": "greedy", "n": null, "seed": 0}',
+                 "3656a205ab25fd9a7b44260c0385497cd4085fbb11a17d8a2ddd86aefc9d80c9",
+                 id="super"),
+    pytest.param(["--finder", "super", "--input", "m.edges"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.1, "eps": null, "finder": "super", '
+                 '"input": "m.edges", "mode": "greedy", "n": null, "seed": 0}',
+                 "30a844bbfd00c7461e42ca742a948e964352888c11f713119e0bdea779445bfd",
+                 id="super-multigraph"),
+    pytest.param(["--finder", "rdfs", "--input", "g.edges"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.1, "eps": null, "finder": "rdfs", '
+                 '"input": "g.edges", "mode": "greedy", "n": null, "seed": 0}',
+                 "12f7d87c85da2d6485bae5ca53b8334a4405724ce783b186820d96f14314ef8d",
+                 id="rdfs-greedy"),
+    pytest.param(["--finder", "rdfs", "--mode", "faithful", "--delta", "0.05",
+                  "--input", "g.edges"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.05, "eps": null, "finder": "rdfs", '
+                 '"input": "g.edges", "mode": "faithful", "n": null, "seed": 0}',
+                 "5713d6f309e0f128b6b13407e355ddd6bff0dc1d93c3ffcce4d6bda491f53e5b",
+                 id="rdfs-faithful"),
+    pytest.param(["--finder", "rbfs", "--input", "g.edges", "--seed", "4"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.1, "eps": null, "finder": "rbfs", '
+                 '"input": "g.edges", "mode": "greedy", "n": null, "seed": 4}',
+                 "e5d4b5aa62f0fa109dae6e8b68b8cf7dd8055f690a76be5cb6f99859214314b6",
+                 id="rbfs-greedy"),
+    pytest.param(["--finder", "rbfs", "--mode", "faithful", "--delta", "0.05",
+                  "--input", "g.edges"],
+                 '{"alpha": null, "budget": null, "c": null, "command": "find", '
+                 '"delta": 0.05, "eps": null, "finder": "rbfs", '
+                 '"input": "g.edges", "mode": "faithful", "n": null, "seed": 0}',
+                 "f19a268d80f14afebc5bd9af4ed2c36d28961a9faa15bfebabc78c69bb01e344",
+                 id="rbfs-faithful"),
+    pytest.param(["--finder", "cycle", "--n", "2000", "--c", "2000", "--eps",
+                  "0.5", "--seed", "1"],
+                 '{"alpha": null, "budget": null, "c": 2000, "command": "find", '
+                 '"delta": 0.1, "eps": 0.5, "finder": "cycle", '
+                 '"input": null, "mode": "greedy", "n": 2000, "seed": 1}',
+                 "76208f4bde4821c2c9a9f230eaf58285fa8669baf66d974ab62213bb4a8c6b5f",
+                 id="cycle"),
+    pytest.param(["--finder", "cycle", "--n", "200", "--c", "200", "--eps",
+                  "0.1", "--seed", "1"],
+                 '{"alpha": null, "budget": null, "c": 200, "command": "find", '
+                 '"delta": 0.1, "eps": 0.1, "finder": "cycle", '
+                 '"input": null, "mode": "greedy", "n": 200, "seed": 1}',
+                 None,
+                 id="cycle-miss"),
+])
+def test_find_outputs_are_frozen(tmp_path, monkeypatch, capsys, flags, config,
+                                 digest):
+    monkeypatch.chdir(tmp_path)
+    degrees = ",".join(["3"] * 150 + ["2"] * 50)
+    for args in (["--n", "300", "--d", "2", "--c", "300", "--seed", "3",
+                  "--out", "g.edges"],
+                 ["--model", "config", "--degrees", degrees, "--c", "200",
+                  "--seed", "2", "--out", "m.edges"]):
+        assert run_cli(["gen"] + args)[0] == 0
+    capsys.readouterr()
+    code, text = run_cli(["find", "--out", "record.json"] + flags)
+    lines = text.splitlines()
+    assert lines[0] == "config " + config
+    record = tmp_path / "record.json"
+    if digest is None:
+        assert code == 2 and len(lines) == 1 and not record.exists()
+        assert capsys.readouterr().err == (
+            "NotFound: first-round rainbow path too short\n")
+    else:
+        assert code == 0
+        assert hashlib.sha256(record.read_bytes()).hexdigest() == digest
+        printed = json.loads(lines[1])
+        del printed["wall_time_ms"]
+        assert printed == json.loads(record.read_text())
 
 
 # ---------------------------------------------------------------------------

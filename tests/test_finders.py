@@ -629,6 +629,13 @@ def test_rbfs_faithful_refuses_non_finite_eps_and_alpha(kw, error):
         rbfs_forest(g, delta=0.05, mode="faithful", **kw)
 
 
+def test_rbfs_faithful_refuses_negative_eps():
+    # only eps^2 is read, so a negative eps would run as |eps|
+    g = ColouredGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)], c=2)
+    with pytest.raises(InvalidEpsilonError, match="need eps >= 0, got -0.1"):
+        rbfs_forest(g, delta=0.05, mode="faithful", eps=-0.1)
+
+
 def test_rbfs_faithful_runs_and_is_rainbow():
     gen = RngStream(84).generator()
     n = 3000

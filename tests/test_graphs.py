@@ -101,6 +101,10 @@ def test_uncoloured_graph_requires_zero_colours():
     ([0, 1], [1, 1], [1, 2], "loops require multigraph=True"),
     ([0, 1, 2, 0], [1, 2, 0, 1], [1, 2, 3, 1], "parallel edges require"),
     ([2, 1, 0, 1], [0, 2, 1, 0], [1, 2, 3, 1], "parallel edges require"),
+    # a cast to int64 would truncate these: u = 0.9, v = 1.7 gave edge (0, 1)
+    ([0.9], [1], [1], "u must hold integers, got dtype float64"),
+    ([0], [1.7], [1], "v must hold integers"),
+    ([0], [1], [1.2], "colour must hold integers"),
 ])
 def test_public_constructor_rejects_bad_edges(u, v, colour, message):
     with pytest.raises(ValueError, match=message):
@@ -108,6 +112,13 @@ def test_public_constructor_rejects_bad_edges(u, v, colour, message):
                       colour=np.array(colour))
     with pytest.raises(ValueError, match=message):
         ColouredGraph.from_edges(3, list(zip(u, v, colour)), c=3)
+
+
+def test_public_constructor_accepts_empty_lists():
+    # numpy reads an empty list as float64; it holds no value to truncate
+    g = ColouredGraph(n=3, c=2, u=[], v=[], colour=[])
+    assert g.m == 0 and g.u.dtype == np.int64
+    assert ColouredGraph.from_edges(3, [], c=2).m == 0
 
 
 def _write_raw_edgelist(path, n, c, edges):
