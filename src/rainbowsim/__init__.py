@@ -14,7 +14,7 @@ from .models import (DegreeSequence, InvalidProbabilityError,
                      InvalidRootCountError, OddDegreeSumError, RngStream,
                      RootTreeSizeSampler, as_generator, colour_uniform,
                      expected_colour_fraction, sample_configuration,
-                     sample_gnp, sample_root_tree_size, sample_uniform_forest,
+                     sample_gnp, sample_uniform_forest,
                      survival_probability)
 from .finders import (ExplorationTrace, InvalidDeltaError, InvalidEpsilonError,
                       NotFoundError, PipelineReport, check_cycle,

@@ -4,9 +4,10 @@ drive the experiment suites.
 Exit codes: 0 on success, 2 when a finder reports a structural miss
 (empty core, no qualifying sprinkle edge) or an envelope check fails,
 64 on usage errors: bad flags, parameters a sampler, finder or suite
-refuses, unreadable input or unwritable output. Every command echoes its
-fully resolved configuration, and rerunning with identical flags
-reproduces output files byte for byte.
+refuses, unreadable input or unwritable output. Every command does its
+work and writes its files before it prints: it then echoes its fully
+resolved configuration, so a refused run leaves stdout empty. Rerunning
+with identical flags reproduces output files byte for byte.
 """
 
 from __future__ import annotations
@@ -119,10 +120,10 @@ def cmd_gen(args) -> int:
         if args.m is None or args.t is None:
             _usage_error("gen --model forest requires --m and --t")
         f = sample_uniform_forest(args.m, args.t, rng)
-        _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
-               "seed": args.seed, "out": args.out})
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(forest_to_line(f) + "\n")
+        _echo({"command": "gen", "model": "forest", "m": args.m, "t": args.t,
+               "seed": args.seed, "out": args.out})
         print(f"m={f.m} t={f.t} edges={f.m - f.t}")
         return EXIT_OK
     if args.model == "config":
@@ -133,20 +134,21 @@ def cmd_gen(args) -> int:
             seq = DegreeSequence(degs)
         except (ValueError, OverflowError) as exc:
             _usage_error(f"--degrees {args.degrees!r}: {exc}")
-        _echo({"command": "gen", "model": "config", "degrees": degs,
-               "c": args.c, "seed": args.seed, "out": args.out})
+        config = {"command": "gen", "model": "config", "degrees": degs,
+                  "c": args.c, "seed": args.seed, "out": args.out}
         g = sample_configuration(seq, rng)
     else:
         if args.n is None or args.c is None or (args.p is None and args.eps is None and args.d is None):
             _usage_error("gen requires --n, --c and one of --p/--eps/--d")
         p = _resolve_p(args)
-        _echo({"command": "gen", "n": args.n, "p": p, "c": args.c,
-               "seed": args.seed, "out": args.out})
+        config = {"command": "gen", "n": args.n, "p": p, "c": args.c,
+                  "seed": args.seed, "out": args.out}
         g = sample_gnp(args.n, p, rng)
     if args.c:                      # None (config only) or a count >= 0
         g = colour_uniform(g, args.c, rng)
     write_edgelist(g, args.out)
     part = connected_components(g)
+    _echo(config)
     print(f"n={g.n} edges={g.m} components={len(part.sizes_desc)}")
     return EXIT_OK
 
@@ -198,7 +200,6 @@ def cmd_find(args) -> int:
               "input": args.input, "n": args.n, "c": args.c,
               "delta": args.delta, "alpha": args.alpha, "eps": args.eps,
               "mode": args.mode, "budget": args.budget}
-    _echo(config)
     record = {"finder": args.finder, "seed": args.seed,
               "params": {k: v for k, v in config.items()
                          if k not in ("command",) and v is not None}}
@@ -231,6 +232,7 @@ def cmd_find(args) -> int:
             record.update(queries=trace.queries, accepted=trace.accepted,
                           stop_reason=trace.stop_reason)
     except (EmptyCoreError, NotFoundError) as exc:
+        _echo(config)
         sys.stderr.write(f"{type(exc).__name__.removesuffix('Error')}: {exc}\n")
         return EXIT_STRUCTURAL
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -238,6 +240,7 @@ def cmd_find(args) -> int:
         # the file copy omits the volatile timing field so reruns are byte-identical
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    _echo(config)
     record["wall_time_ms"] = wall_ms
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
@@ -285,25 +288,22 @@ def cmd_experiment(args) -> int:
         _usage_error(f"--n does not apply to suite {args.suite!r}")
     else:
         names = [args.suite]
-    all_ok = True
-    outputs = []
-    for name in names:
-        n = _SUITES[name] if args.n is None else args.n
-        config, rows, checks = _run_suite(name, args.reps, args.seed,
-                                          args.threads, n)
-        _echo(config.as_dict())
-        outputs.append((config, rows, checks))
-        for chk in checks:
-            status = "PASS" if chk.passed else "FAIL"
-            print(f"check {chk.name}: {status} (observed {chk.observed}, "
-                  f"bound {chk.bound})")
-            all_ok = all_ok and chk.passed
+    outputs = [_run_suite(name, args.reps, args.seed, args.threads,
+                          _SUITES[name] if args.n is None else args.n)
+               for name in names]
     if args.out:
         write_csv(args.out, outputs)
         if args.raw:
             with open(args.out + ".json", "w", encoding="ascii",
                       newline="\n") as fh:
                 fh.write(raw_records(outputs) + "\n")
+    for config, _, checks in outputs:
+        _echo(config.as_dict())
+        for chk in checks:
+            status = "PASS" if chk.passed else "FAIL"
+            print(f"check {chk.name}: {status} (observed {chk.observed}, "
+                  f"bound {chk.bound})")
+    all_ok = all(chk.passed for _, _, checks in outputs for chk in checks)
     return EXIT_OK if all_ok else EXIT_STRUCTURAL
 
 

@@ -68,6 +68,8 @@ class EnvelopeCheck:
 def _row(params, values, reference, formula) -> SummaryRow:
     """The mean and sample std of one value per repetition, as a row."""
     reps = len(values)
+    if reps < 1:
+        raise InvalidConfigError("need reps >= 1")
     mean = sum(values) / reps
     var = (sum((x - mean) ** 2 for x in values) / (reps - 1)
            if reps > 1 else 0.0)
@@ -231,6 +233,8 @@ def exp_min_double_bridge(t_grid, reps, seed):
 def exp_tree_size_law(m, t, reps, seed):
     """Empirical root-tree-size pmf at k = 1..5 against the Borel point masses."""
     from .oracles import borel_pmf
+    if reps < 1:
+        raise InvalidConfigError("need reps >= 1")
     gen = RngStream(seed, 0).generator()
     sampler = RootTreeSizeSampler(m, t)
     counts: dict[int, int] = {}

@@ -553,10 +553,12 @@ def _path_colours(g: ColouredGraph, path):
 
     g must be simple, so a step is at most one edge, and every step is an
     edge exactly when the edges joining consecutive path vertices are as
-    many as the steps. Raises ValueError when a step is not an edge or the
-    path repeats a vertex.
+    many as the steps. Raises ValueError when a path vertex is outside
+    [0, n), a step is not an edge or the path repeats a vertex.
     """
     p = np.asarray(path, dtype=np.int64)
+    if ((p < 0) | (p >= g.n)).any():
+        raise ValueError("path vertex outside [0, n)")
     if p.size < 2:
         return []
     at = np.arange(p.size)

@@ -184,9 +184,6 @@ class VertexPartition:
         # vertices the id is 0
         return int(np.bincount(self.labels, minlength=1).argmax())
 
-    def largest_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == self.largest_id())
-
 
 def connected_components(g: ColouredGraph) -> VertexPartition:
     """Connected components with deterministic smallest-vertex labels."""

@@ -92,6 +92,8 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"p = {p} outside [0, 1]")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     gen = as_generator(rng)
     empty = np.zeros(0, dtype=np.int64)
     if n < 2 or p == 0.0:
@@ -261,12 +263,6 @@ class RootTreeSizeSampler:
         if not (1 <= k <= self.m - self.t + 1):
             return 0.0
         return math.exp(self._log_pmf(k))
-
-
-def sample_root_tree_size(m: int, t: int, rng=None) -> int:
-    """Order of the tree containing root 0 in a uniform (m, t)-forest."""
-    gen = as_generator(rng)
-    return RootTreeSizeSampler(m, t).sample(gen)
 
 
 # ---------------------------------------------------------------------------

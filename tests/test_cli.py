@@ -151,7 +151,8 @@ def test_gen_rejected_model_arguments_exit_64(tmp_path, capsys, flags, fragment)
 
 
 def test_gen_forest_refusal_leaves_stdout_empty(tmp_path, capsys):
-    # the forest is sampled, and so --m/--t checked, before the echo
+    # gen prints only once its file is written, so a refused forest prints
+    # nothing
     out = tmp_path / "f.txt"
     code, text = run_cli(["gen", "--model", "forest", "--m", "5", "--t", "0",
                           "--out", str(out)])
@@ -440,14 +441,14 @@ def test_refused_parameters_exit_64(tmp_path, monkeypatch, capsys, args,
     ["--finder", "rbfs", "--n", "50", "--c", "5"],                 # no p
     ["--finder", "sub", "--n", "0", "--c", "5", "--eps", "0.1"],
     ["--finder", "rdfs", "--n", "10", "--c", "3", "--d", "20"],    # p = 2
-    # the graph is read before the echo too
+    # an unreadable or uncoloured graph, and an unread flag beside --input
     ["--finder", "sub", "--input", "absent.edges"],
     ["--finder", "super", "--input", "plain.edges"],               # c = 0
     ["--finder", "rbfs", "--input", "path.edges", "--alpha", "2"],  # greedy
 ])
 def test_find_flag_checks_leave_stdout_empty(tmp_path, monkeypatch, capsys,
                                              flags):
-    # every check on find's own flags runs before the config echo
+    # a refused run prints nothing: find echoes only once its work is done
     monkeypatch.chdir(tmp_path)
     _write_rainbow_path(tmp_path)
     (tmp_path / "plain.edges").write_text("3 0\n0 1 0\n1 2 0\n")
@@ -460,11 +461,31 @@ def test_find_flag_checks_leave_stdout_empty(tmp_path, monkeypatch, capsys,
     ["gen", "--n", "10", "--c", "3", "--p", "0.3"],
     ["find", "--finder", "sub", "--n", "10", "--c", "3", "--p", "0.3"],
     ["experiment", "--suite", "borel", "--n", "1000", "--reps", "2"],
+    ["gen", "--model", "config", "--degrees", "1,1,2", "--c", "2"],
+    ["gen", "--model", "forest", "--m", "5", "--t", "2"],
 ])
 def test_unwritable_out_exits_64(tmp_path, capsys, args):
     out = tmp_path / "missing" / "out.txt"
-    code, _ = run_cli(args + ["--out", str(out)])
+    code, text = run_cli(args + ["--out", str(out)])
     _assert_one_line_usage_error(code, capsys, "No such file", str(out))
+    assert text == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["find", "--finder", "rdfs", "--mode", "faithful", "--delta", "1.5"] + _GNP,
+    # the fallback --delta 0.1 is over faithful rbfs's kappa bound at c = n
+    ["find", "--finder", "rbfs", "--mode", "faithful"] + _GNP,
+    ["find", "--finder", "cycle", "--n", "100", "--c", "100", "--eps", "1.5"],
+    ["find", "--finder", "cycle", "--n", "1", "--c", "1", "--eps", "0.5"],
+    # the cycle suite refuses d/n > 1 after six suites have run
+    ["experiment", "--suite", "all", "--n", "100", "--reps", "1"],
+])
+def test_refusals_by_the_work_leave_stdout_empty(tmp_path, capsys, args):
+    # each command prints only once its work is done and its files written
+    out = tmp_path / "out.txt"
+    code, text = run_cli(args + ["--out", str(out)])
+    _assert_one_line_usage_error(code, capsys)
+    assert text == "" and not out.exists()
 
 
 @pytest.mark.parametrize("flags, read", [

@@ -19,7 +19,7 @@ from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     min_double_bridge_samples, raw_records,
                                     write_csv)
 from rainbowsim.graphs import RootedForest, subtree_sizes
-from rainbowsim.models import RngStream, sample_root_tree_size
+from rainbowsim.models import RngStream, RootTreeSizeSampler
 from rainbowsim.oracles import enumerate_forests
 
 
@@ -122,7 +122,7 @@ def test_double_bridge_vanishes_as_ratio_grows():
 # tree size law
 
 def test_tree_size_all_roots_degenerate():
-    assert sample_root_tree_size(9, 9, RngStream(1)) == 1
+    assert RootTreeSizeSampler(9, 9).sample(RngStream(1).generator()) == 1
 
 
 def test_tree_size_law_rows():
@@ -403,6 +403,24 @@ _THREAD_SUITES = {
 def test_threads_do_not_change_results(suite):
     run = _THREAD_SUITES[suite]
     assert run(1) == run(2)
+
+
+_ZERO_REPS = [
+    (exp_min_split, {"m_grid": (4, 16)}),
+    (exp_bridge_number, {"m": 100, "t": 5}),
+    (exp_min_double_bridge, {"t_grid": (10, 100)}),
+    (exp_tree_size_law, {"m": 1000, "t": 10}),
+    (exp_phase_transition, {"n": 3000, "c": 3000, "eps_grid": (-0.2, 0.2)}),
+    (exp_giant_benchmark, {"n": 1000, "d": 2.0}),
+    (exp_cycle, {"n": 2000, "c": 2000, "d": 129.0, "delta": 0.5}),
+]
+
+
+@pytest.mark.parametrize("run, kw", _ZERO_REPS,
+                         ids=[run.__name__ for run, _ in _ZERO_REPS])
+def test_suites_refuse_zero_reps(run, kw):
+    with pytest.raises(InvalidConfigError, match="need reps >= 1"):
+        run(**kw, reps=0, seed=1)
 
 
 @pytest.mark.parametrize("threads, reps, cores, workers", [

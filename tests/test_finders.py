@@ -1291,6 +1291,14 @@ def test_sprinkle_refuses_multigraphs():
         close_cycle_edges(g, trace.path, (0, 1, 3))
 
 
+def test_sprinkling_refuses_path_vertices_outside_the_graph():
+    g1 = _rainbow_path_graph(4)
+    with pytest.raises(ValueError, match="outside"):
+        sprinkle_close_cycle(g1, [0, 1, 2, 3, 5], [(0, 5, 9)], delta=1.0)
+    with pytest.raises(ValueError, match="outside"):
+        close_cycle_edges(g1, [0, 1, 2, 3, -1], (0, -1, 5))
+
+
 def reference_sprinkle_close_cycle(g1, path, g2_edges, delta):
     """sprinkle_close_cycle as it was before the numpy pass: one Python loop
     over the triples against a set of g1's window edges."""
@@ -1417,6 +1425,11 @@ def test_path_colours_fixed_cases():
         _path_colours(g, [1, 0, 3, 2])     # only the middle step is missing
     with pytest.raises(ValueError, match="repeats a vertex"):
         _path_colours(g, [0, 1, 0])
+    # a vertex id outside [0, n) is refused, neither wrapped nor overrun
+    line = _rainbow_path_graph(4)
+    for bad in ([2, 3, -1], [3, 4, 5], [-1], [5]):
+        with pytest.raises(ValueError, match="outside"):
+            _path_colours(line, bad)
 
 
 @st.composite

@@ -322,7 +322,7 @@ def test_components_path_plus_isolated():
     part = connected_components(g)
     assert part.labels.tolist() == [0, 0, 0, 3]
     assert part.sizes_desc.tolist() == [3, 1]
-    assert part.largest_vertices().tolist() == [0, 1, 2]
+    assert np.flatnonzero(part.labels == part.largest_id()).tolist() == [0, 1, 2]
 
 
 def test_components_match_independent_bfs():
@@ -495,7 +495,7 @@ def test_two_core_matches_networkx(g):
 def test_decomposition_triangle_with_pendant():
     g = ColouredGraph.from_edges(4, [(0, 1, 1), (1, 2, 2), (2, 0, 3), (2, 3, 4)], c=4)
     part = connected_components(g)
-    giant = part.largest_vertices()
+    giant = np.flatnonzero(part.labels == part.largest_id())
     dec = core_forest_decomposition(g, giant, np.array([], dtype=np.int64))
     assert dec.core_vertices.tolist() == [0, 1, 2]
     assert dec.forest.m == 4 and dec.forest.t == 3
@@ -508,8 +508,8 @@ def test_decomposition_pure_cycle_gives_isolated_roots():
     edges = [(i, (i + 1) % 6, i + 1) for i in range(6)]
     g = ColouredGraph.from_edges(6, edges, c=6)
     part = connected_components(g)
-    dec = core_forest_decomposition(g, part.largest_vertices(),
-                                    np.array([], dtype=np.int64))
+    giant = np.flatnonzero(part.labels == part.largest_id())
+    dec = core_forest_decomposition(g, giant, np.array([], dtype=np.int64))
     assert dec.forest.t == dec.forest.m == 6
     assert (dec.forest.parent == -1).all()
 
@@ -517,9 +517,9 @@ def test_decomposition_pure_cycle_gives_isolated_roots():
 def test_decomposition_empty_core_raises():
     g = ColouredGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)], c=2)
     part = connected_components(g)
+    giant = np.flatnonzero(part.labels == part.largest_id())
     with pytest.raises(EmptyCoreError):
-        core_forest_decomposition(g, part.largest_vertices(),
-                                  np.array([], dtype=np.int64))
+        core_forest_decomposition(g, giant, np.array([], dtype=np.int64))
 
 
 def test_decomposition_keeps_other_cores_out():
@@ -533,7 +533,7 @@ def test_decomposition_keeps_other_cores_out():
     g = ColouredGraph.from_edges(15, [(a, b, i + 1) for i, (a, b)
                                       in enumerate(edges)], c=len(edges))
     part = connected_components(g)
-    giant = part.largest_vertices()
+    giant = np.flatnonzero(part.labels == part.largest_id())
     uni = _unicyclic_vertices(g, part)
     assert giant.tolist() == list(range(6))
     assert uni.tolist() == [11, 12, 13, 14]
@@ -584,7 +584,7 @@ def test_decomposition_invariants_on_samples():
         g = sample_gnp(n, 1.2 / n, RngStream(900 + seed))
         g = colour_uniform(g, n, RngStream(1900 + seed))
         part = connected_components(g)
-        giant = part.largest_vertices()
+        giant = np.flatnonzero(part.labels == part.largest_id())
         uni = _unicyclic_vertices(g, part)
         try:
             dec = core_forest_decomposition(g, giant, uni)
@@ -669,7 +669,7 @@ def test_decomposition_matches_deque_bfs(seed, n, d, configuration):
         g = sample_gnp(n, d / n, gen)
     g = colour_uniform(g, n, gen)
     part = connected_components(g)
-    giant = part.largest_vertices()
+    giant = np.flatnonzero(part.labels == part.largest_id())
     uni = _unicyclic_vertices(g, part)
     try:
         want = deque_bfs_decomposition(g, giant, uni)

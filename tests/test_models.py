@@ -10,8 +10,8 @@ from rainbowsim.models import (DegreeSequence, InvalidProbabilityError,
                                InvalidRootCountError, OddDegreeSumError,
                                RngStream, RootTreeSizeSampler, colour_uniform,
                                expected_colour_fraction, sample_configuration,
-                               sample_gnp, sample_root_tree_size,
-                               sample_uniform_forest, survival_probability,
+                               sample_gnp, sample_uniform_forest,
+                               survival_probability,
                                _iter_wilson_parents)
 from rainbowsim.oracles import enumerate_forests, forest_count
 
@@ -40,6 +40,11 @@ def test_gnp_trivial_cases():
         sample_gnp(10, 1.5, RngStream(1))
     with pytest.raises(InvalidProbabilityError):
         sample_gnp(10, -0.1, RngStream(1))
+
+
+def test_gnp_refuses_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0, got -5"):
+        sample_gnp(-5, 0.5, RngStream(1))
 
 
 def test_gnp_simple_and_in_range():
@@ -222,7 +227,8 @@ def test_root_tree_size_pmf_matches_enumeration():
 def test_root_tree_size_sampler_matches_wilson():
     m, t = 12, 3
     gen = RngStream(41).generator()
-    fast = Counter(sample_root_tree_size(m, t, gen) for _ in range(40000))
+    sampler = RootTreeSizeSampler(m, t)
+    fast = Counter(sampler.sample(gen) for _ in range(40000))
     gen2 = RngStream(42).generator()
     slow = Counter()
     for par in _iter_wilson_parents(m, t, gen2, count=40000):
@@ -244,8 +250,8 @@ def test_root_tree_size_sampler_matches_wilson():
 
 
 def test_root_tree_size_degenerate_cases():
-    assert sample_root_tree_size(7, 1, RngStream(1)) == 7
-    assert sample_root_tree_size(5, 5, RngStream(1)) == 1
+    assert RootTreeSizeSampler(7, 1).sample(RngStream(1).generator()) == 7
+    assert RootTreeSizeSampler(5, 5).sample(RngStream(1).generator()) == 1
 
 
 def test_conditional_tree_size_one_sided_bound():
