@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -185,19 +186,17 @@ class _PairSizeSampler:
                 sampler = RootTreeSizeSampler(m - a, self.t + 1)
                 self.rest[m - a] = sampler
             b = sampler.sample(gen)
-            x = float(gen.random())
-            y = float(gen.random())
-            u_in_1 = x < a / m
-            u_in_2 = (not u_in_1) and x < (a + b) / m
-            v_in_1 = y < a / m
-            v_in_2 = (not v_in_1) and y < (a + b) / m
-            if u_in_1 or v_in_2 or (u_in_2 and v_in_1):
-                continue  # the two added edges would not leave a rooted forest
-            if u_in_2:
+            # the region of each uniform: 0 in the first tree, 1 in the
+            # second, 2 elsewhere
+            ends = tuple(0 if z < a / m else 1 if z < (a + b) / m else 2
+                         for z in (float(gen.random()), float(gen.random())))
+            if ends == (1, 2):
                 return a
-            if v_in_1:
+            if ends == (2, 0):
                 return b
-            return min(a, b)
+            if ends == (2, 2):
+                return min(a, b)
+            # any other pair of added edges would not leave a rooted forest
 
 
 def min_double_bridge_samples(m, t, reps, seed, stream=0):
@@ -237,17 +236,14 @@ def exp_tree_size_law(m, t, reps, seed):
         raise InvalidConfigError("need reps >= 1")
     gen = RngStream(seed, 0).generator()
     sampler = RootTreeSizeSampler(m, t)
-    counts: dict[int, int] = {}
-    for _ in range(reps):
-        k = sampler.sample(gen)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(sampler.sample(gen) for _ in range(reps))
     rows, checks = [], []
     tol = ENVELOPES["borel_tol"]
     for k in range(1, 6):
-        emp = counts.get(k, 0) / reps
+        emp = counts[k] / reps
         ref = borel_pmf(k)
         rows.append(SummaryRow(params=(("m", m), ("t", t), ("k", k)),
-                               mean=emp, std=math.sqrt(max(emp * (1 - emp), 0.0) / reps),
+                               mean=emp, std=math.sqrt(emp * (1 - emp) / reps),
                                reps=reps, reference=ref,
                                formula="exp(-k) k^(k-1)/k!"))
         checks.append(EnvelopeCheck(name=f"borel_k{k}",

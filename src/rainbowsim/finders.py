@@ -611,7 +611,7 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     window[last] = True
     inside = window[g1.u] & window[g1.v]
     u, v = g1.u[inside], g1.v[inside]
-    in_g1 = np.sort(np.minimum(u, v) * g1.n + np.maximum(u, v))
+    in_g1 = np.minimum(u, v) * g1.n + np.maximum(u, v)
 
     a, b, colour = np.asarray(g2_edges, dtype=np.int64).reshape(-1, 3).T
     # +1 in the first window, -1 in the last, 0 in neither: the windows
@@ -621,9 +621,7 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     ok = np.flatnonzero((side_a * side_b == -1) & ~np.isin(colour, used))
     # both ends of a candidate are path vertices, so its key is in range
     key = np.minimum(a[ok], b[ok]) * g1.n + np.maximum(a[ok], b[ok])
-    in_g1_too = (np.searchsorted(in_g1, key, side="right")
-                 > np.searchsorted(in_g1, key))
-    ok = ok[~in_g1_too]
+    ok = ok[~np.isin(key, in_g1)]
     if ok.size == 0:
         raise NotFoundError("no fresh edge joins the endpoint windows")
     return tuple(int(x) for x in (a[ok[0]], b[ok[0]], colour[ok[0]]))

@@ -8,6 +8,7 @@ colour 0 marks an uncoloured edge and is only legal when c == 0.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -28,11 +29,20 @@ def _as_index_array(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
 
+def _check_counts(**counts) -> None:
+    """Raise ValueError unless every count is an integer; numpy integers
+    pass, floats such as 3.0 do not."""
+    for name, x in counts.items():
+        if not isinstance(x, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def _check_arrays(n, c, u, v, colour) -> None:
     """Raise ValueError unless the arrays describe edges of a graph on n
     vertices with colours valid for c."""
     if not (len(u) == len(v) == len(colour)):
         raise ValueError("edge arrays must have equal length")
+    _check_counts(n=n, c=c)
     if n < 0 or c < 0:
         raise ValueError("n and c must be non-negative")
     if len(u):
@@ -210,11 +220,11 @@ def _peel(g: ColouredGraph):
     core vertices and for the last vertices peeled from a coreless tree.
     """
     n = g.n
-    deg = g.degrees()
+    indptr, nbr, eid = adjacency(g)
+    deg = np.diff(indptr)
     alive = np.ones(n, dtype=bool)
     up = np.full(n, -1, dtype=np.int64)
     up_edge = np.full(n, -1, dtype=np.int64)
-    indptr, nbr, eid = adjacency(g)
     removed = np.flatnonzero(deg <= 1)
     while removed.size:
         alive[removed] = False

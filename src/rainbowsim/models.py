@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ColouredGraph, RootedForest
+from .graphs import ColouredGraph, RootedForest, _check_counts
 
 
 class InvalidProbabilityError(ValueError):
@@ -92,6 +92,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidProbabilityError(f"p = {p} outside [0, 1]")
+    _check_counts(n=n)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     gen = as_generator(rng)
@@ -118,6 +119,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
 
 def colour_uniform(g: ColouredGraph, c: int, rng=None) -> ColouredGraph:
     """Recolour every edge i.i.d. uniformly from [1, c], preserving edge order."""
+    _check_counts(c=c)
     if c < 1:
         raise ValueError("need c >= 1")
     gen = as_generator(rng)
@@ -136,25 +138,17 @@ def sample_configuration(d, rng=None) -> ColouredGraph:
     perfect matching. Loops consume two half-edges of their vertex, so the
     degree sequence is preserved with loops counted twice.
     """
-    if isinstance(d, DegreeSequence):
-        degs = d.degrees
-    else:
-        degs = DegreeSequence(np.asarray(d)).degrees
+    degs = (d if isinstance(d, DegreeSequence) else DegreeSequence(d)).degrees
     gen = as_generator(rng)
     stubs = np.repeat(np.arange(len(degs), dtype=np.int64), degs).tolist()
     k = len(stubs)
-    us, vs = [], []
-    i = 0
-    while i < k:
+    for i in range(0, k, 2):
         j = int(gen.integers(i + 1, k))
         stubs[i + 1], stubs[j] = stubs[j], stubs[i + 1]
-        us.append(stubs[i])
-        vs.append(stubs[i + 1])
-        i += 2
-    u = np.array(us, dtype=np.int64)
-    v = np.array(vs, dtype=np.int64)
+    # stubs now holds the matching as consecutive pairs
+    u, v = np.array(stubs, dtype=np.int64).reshape(-1, 2).T
     return ColouredGraph._trusted(len(degs), 0, u, v,
-                                  np.zeros(len(u), dtype=np.int64), True)
+                                  np.zeros(k // 2, dtype=np.int64), True)
 
 
 # ---------------------------------------------------------------------------

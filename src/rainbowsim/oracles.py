@@ -102,15 +102,6 @@ def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
 
     best = {"size": 0, "edges": ()}
 
-    def consider(chosen, comp_count):
-        # chosen edges are acyclic and rainbow; a tree needs one component
-        if chosen and comp_count == 1:
-            size = len(chosen)
-            key = tuple(chosen)
-            if size > best["size"] or (size == best["size"] and key < best["edges"]):
-                best["size"] = size
-                best["edges"] = key
-
     # union-find over vertices with rollback
     par = list(range(g.n))
 
@@ -119,8 +110,15 @@ def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
             x = par[x]
         return x
 
-    def rec(idx, chosen, used_cols, touched, comp_count):
-        consider(chosen, comp_count)
+    def rec(idx, chosen, used_cols, touched):
+        # chosen edges are acyclic and rainbow, a forest on the touched
+        # vertices: a tree exactly when it has one more vertex than edges
+        if len(touched) == len(chosen) + 1:
+            key = tuple(chosen)
+            if len(key) > best["size"] or (len(key) == best["size"]
+                                           and key < best["edges"]):
+                best["size"] = len(key)
+                best["edges"] = key
         if idx == m:
             return
         if len(chosen) + (m - idx) < best["size"]:
@@ -131,22 +129,20 @@ def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
             ra, rb = find(a), find(b)
             if ra != rb:
                 newly = [x for x in (a, b) if x not in touched]
-                # components among touched vertices: +1 per new vertex, -1 per merge
-                delta = len(newly) - 1
                 par[ra] = rb
                 used_cols.add(cc)
                 for x in newly:
                     touched.add(x)
                 chosen.append(idx)
-                rec(idx + 1, chosen, used_cols, touched, comp_count + delta)
+                rec(idx + 1, chosen, used_cols, touched)
                 chosen.pop()
                 for x in newly:
                     touched.discard(x)
                 used_cols.discard(cc)
                 par[ra] = ra
-        rec(idx + 1, chosen, used_cols, touched, comp_count)
+        rec(idx + 1, chosen, used_cols, touched)
 
-    rec(0, [], set(), set(), 0)
+    rec(0, [], set(), set())
     return np.array(best["edges"], dtype=np.int64)
 
 
@@ -157,16 +153,13 @@ def exact_min_deleted_component_expectation(m: int) -> float:
     if m > 7:
         raise TooLargeError("guarded at m <= 7")
     res = enumerate_forests(m, 1)
-    total = Fraction(0)
-    count = 0
+    total = 0
     for parent in res.forests:
         f = RootedForest(m=m, t=1, parent=np.array(parent, dtype=np.int64))
-        sizes = subtree_sizes(f)
-        for w in range(1, m):
-            below = int(sizes[w])
-            total += min(below, m - below)
-            count += 1
-    return float(total / count)
+        below = subtree_sizes(f)[1:]
+        total += int(np.minimum(below, m - below).sum())
+    # every tree has m - 1 edges
+    return float(Fraction(total, res.count * (m - 1)))
 
 
 def borel_pmf(k: int) -> float:

@@ -9,7 +9,7 @@ from rainbowsim import experiments as experiments_module
 from rainbowsim.envelopes import ENVELOPES_VERSION
 from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     InvalidConfigError, SummaryRow,
-                                    _rep_bridge, _rep_cycle, _rep_giant,
+                                    _PairSizeSampler, _rep_bridge, _rep_cycle, _rep_giant,
                                     _rep_phase_sub,
                                     _rep_phase_super, _run_reps,
                                     exp_bridge_number, exp_cycle,
@@ -531,3 +531,48 @@ def test_raw_records_two_suites():
     assert [c["name"] for c in blobs[1]["checks"]] == ["b_low", "b_high"]
     # one suite is the bare object, not a list of one
     assert json.loads(raw_records(suites[1:])) == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# the edge-pair sampler against its earlier body
+
+class ReferencePairSizeSampler(_PairSizeSampler):
+    """The edge-pair sampler with its draw as it was before each uniform got
+    one region; kept verbatim as the reference for the current body."""
+
+    def draw(self, gen) -> int:
+        m = self.m
+        while True:
+            a = self.first.sample(gen)
+            sampler = self.rest.get(m - a)
+            if sampler is None:
+                sampler = RootTreeSizeSampler(m - a, self.t + 1)
+                self.rest[m - a] = sampler
+            b = sampler.sample(gen)
+            x = float(gen.random())
+            y = float(gen.random())
+            u_in_1 = x < a / m
+            u_in_2 = (not u_in_1) and x < (a + b) / m
+            v_in_1 = y < a / m
+            v_in_2 = (not v_in_1) and y < (a + b) / m
+            if u_in_1 or v_in_2 or (u_in_2 and v_in_1):
+                continue  # the two added edges would not leave a rooted forest
+            if u_in_2:
+                return a
+            if v_in_1:
+                return b
+            return min(a, b)
+
+
+@pytest.mark.parametrize("m, t", [(4, 2), (12, 10), (5, 2), (10, 1),
+                                  (40, 4), (300, 3)])
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_pair_sampler_matches_reference(m, t, stream):
+    got_gen = RngStream(2323, stream).generator()
+    want_gen = RngStream(2323, stream).generator()
+    got = _PairSizeSampler(m, t)
+    want = ReferencePairSizeSampler(m, t)
+    draws = [got.draw(got_gen) for _ in range(3000)]
+    assert draws == [want.draw(want_gen) for _ in range(3000)]
+    assert all(type(x) is int for x in draws)
+    assert got_gen.random() == want_gen.random()

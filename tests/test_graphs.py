@@ -959,3 +959,24 @@ def test_forest_line_roundtrip():
 def test_forest_from_line_rejects(line, message):
     with pytest.raises(ValueError, match=message):
         forest_from_line(line)
+
+
+# ---------------------------------------------------------------------------
+# vertex and colour counts must be integers
+
+@pytest.mark.parametrize("n, c, message", [
+    (2.5, 0, "n must be an integer"),
+    (3.0, 0, "n must be an integer"),
+    (3, 1.5, "c must be an integer"),
+    (3, 3.0, "c must be an integer"),
+])
+def test_public_constructor_refuses_non_integer_counts(n, c, message):
+    e = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        ColouredGraph(n, c, e, e, e)
+
+
+def test_public_constructor_accepts_numpy_integer_counts():
+    g = ColouredGraph(np.int64(5), np.int64(2), [0, 1], [1, 4], [1, 2])
+    assert g.n == 5 and g.c == 2
+    assert connected_components(g).sizes_desc.tolist() == [3, 1, 1]

@@ -3,12 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 from rainbowsim.graphs import ColouredGraph
 from rainbowsim.models import (DegreeSequence, InvalidProbabilityError,
                                InvalidRootCountError, OddDegreeSumError,
-                               RngStream, RootTreeSizeSampler, colour_uniform,
+                               RngStream, RootTreeSizeSampler, as_generator,
+                               colour_uniform,
                                expected_colour_fraction, sample_configuration,
                                sample_gnp, sample_uniform_forest,
                                survival_probability,
@@ -329,3 +332,92 @@ def test_colour_fraction_direct_evaluation():
         expected_colour_fraction(0.0, 2.0)
     with pytest.raises(ValueError):
         expected_colour_fraction(1.0, 0.9)
+
+
+# ---------------------------------------------------------------------------
+# the configuration sampler against its earlier body
+
+def reference_sample_configuration(d, rng=None) -> ColouredGraph:
+    """The configuration sampler as it was before it read the matching off
+    its stub list; kept verbatim as the reference for the current body."""
+    if isinstance(d, DegreeSequence):
+        degs = d.degrees
+    else:
+        degs = DegreeSequence(np.asarray(d)).degrees
+    gen = as_generator(rng)
+    stubs = np.repeat(np.arange(len(degs), dtype=np.int64), degs).tolist()
+    k = len(stubs)
+    us, vs = [], []
+    i = 0
+    while i < k:
+        j = int(gen.integers(i + 1, k))
+        stubs[i + 1], stubs[j] = stubs[j], stubs[i + 1]
+        us.append(stubs[i])
+        vs.append(stubs[i + 1])
+        i += 2
+    u = np.array(us, dtype=np.int64)
+    v = np.array(vs, dtype=np.int64)
+    return ColouredGraph._trusted(len(degs), 0, u, v,
+                                  np.zeros(len(u), dtype=np.int64), True)
+
+
+@st.composite
+def degree_sequences(draw):
+    """Degree sequences with an even sum: an odd sum is fixed by one more
+    degree-1 vertex or by one more half-edge at the first vertex."""
+    degs = draw(st.lists(st.integers(0, 6), max_size=25))
+    if sum(degs) % 2:
+        if draw(st.booleans()):
+            degs.append(1)
+        else:
+            degs[0] += 1
+    form = draw(st.sampled_from(["list", "int32", "sequence"]))
+    if form == "int32":
+        return np.array(degs, dtype=np.int32)
+    if form == "sequence":
+        return DegreeSequence(degs)
+    return degs
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_sequences(), st.integers(0, 2 ** 32))
+@example([], 1)
+@example([0, 0, 0], 2)
+@example([2], 3)
+def test_configuration_matches_reference(degs, seed):
+    got_gen, want_gen = RngStream(seed).generator(), RngStream(seed).generator()
+    got = sample_configuration(degs, got_gen)
+    want = reference_sample_configuration(degs, want_gen)
+    assert (got.n, got.c, got.multigraph) == (want.n, want.c, want.multigraph)
+    for a, b in ((got.u, want.u), (got.v, want.v), (got.colour, want.colour)):
+        assert a.dtype == b.dtype and a.flags.c_contiguous
+        assert a.tolist() == b.tolist()
+    assert got_gen.random() == want_gen.random()
+
+
+# ---------------------------------------------------------------------------
+# vertex and colour counts must be integers
+
+@pytest.mark.parametrize("n", [2.5, 3.0])
+def test_gnp_refuses_a_non_integer_n_before_any_draw(n):
+    gen = RngStream(1).generator()
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_gnp(n, 0.5, gen)
+    assert gen.random() == RngStream(1).generator().random()
+
+
+@pytest.mark.parametrize("c", [2.5, 3.0])
+def test_colour_uniform_refuses_a_non_integer_c_before_any_draw(c):
+    g = sample_gnp(6, 0.5, RngStream(2))
+    gen = RngStream(1).generator()
+    with pytest.raises(ValueError, match="c must be an integer"):
+        colour_uniform(g, c, gen)
+    assert gen.random() == RngStream(1).generator().random()
+
+
+def test_numpy_integer_counts_are_accepted():
+    g = sample_gnp(np.int64(5), 1.0, RngStream(1))
+    assert g.n == 5 and g.m == 10
+    coloured = colour_uniform(g, np.int64(5), RngStream(2))
+    assert coloured.c == 5
+    assert coloured.colour.min() >= 1 and coloured.colour.max() <= 5

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowsim.graphs import ColouredGraph, is_rainbow
 from rainbowsim.models import RngStream, colour_uniform, sample_gnp
@@ -128,3 +130,86 @@ def test_borel_decreasing_and_bounded():
         cur = borel_pmf(k)
         assert 0.0 < cur < prev < 1.0
         prev = cur
+
+
+# ---------------------------------------------------------------------------
+# the exact maximum rainbow tree against its earlier body
+
+def reference_exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
+    """The branch and bound as it was before it read the tree test off its
+    touched vertices; kept verbatim as the reference for the current body."""
+    m = g.m
+    if m > 22:
+        raise TooLargeError("exact_max_rainbow_tree is guarded at |E| <= 22")
+    u = g.u.tolist()
+    v = g.v.tolist()
+    col = g.colour.tolist()
+
+    best = {"size": 0, "edges": ()}
+
+    def consider(chosen, comp_count):
+        # chosen edges are acyclic and rainbow; a tree needs one component
+        if chosen and comp_count == 1:
+            size = len(chosen)
+            key = tuple(chosen)
+            if size > best["size"] or (size == best["size"] and key < best["edges"]):
+                best["size"] = size
+                best["edges"] = key
+
+    # union-find over vertices with rollback
+    par = list(range(g.n))
+
+    def find(x):
+        while par[x] != x:
+            x = par[x]
+        return x
+
+    def rec(idx, chosen, used_cols, touched, comp_count):
+        consider(chosen, comp_count)
+        if idx == m:
+            return
+        if len(chosen) + (m - idx) < best["size"]:
+            return
+        # include edge idx when it keeps the set acyclic and rainbow
+        a, b, cc = u[idx], v[idx], col[idx]
+        if cc not in used_cols:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                newly = [x for x in (a, b) if x not in touched]
+                # components among touched vertices: +1 per new vertex, -1 per merge
+                delta = len(newly) - 1
+                par[ra] = rb
+                used_cols.add(cc)
+                for x in newly:
+                    touched.add(x)
+                chosen.append(idx)
+                rec(idx + 1, chosen, used_cols, touched, comp_count + delta)
+                chosen.pop()
+                for x in newly:
+                    touched.discard(x)
+                used_cols.discard(cc)
+                par[ra] = ra
+        rec(idx + 1, chosen, used_cols, touched, comp_count)
+
+    rec(0, [], set(), set(), 0)
+    return np.array(best["edges"], dtype=np.int64)
+
+
+@st.composite
+def coloured_multigraphs(draw):
+    """Coloured multigraphs of at most 14 edges; loops, parallel edges and
+    repeated colours are all drawn."""
+    n = draw(st.integers(1, 7))
+    c = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.integers(1, c)), max_size=14))
+    return ColouredGraph.from_edges(n, edges, c=c, multigraph=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coloured_multigraphs())
+def test_max_rainbow_tree_matches_reference(g):
+    got = exact_max_rainbow_tree(g)
+    want = reference_exact_max_rainbow_tree(g)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
