@@ -263,6 +263,19 @@ def supercritical_rainbow_tree(g: ColouredGraph):
 
 
 # ---------------------------------------------------------------------------
+# the explorers' view of the CSR
+
+def _csr_view(g: ColouredGraph):
+    """(indptr, nbr, hcol, eid): ``adjacency(g)`` plus hcol, the colour of
+    each half-edge. The first three are memoryviews read in place, so an
+    int object is made only when an item is read, not one per vertex and
+    half-edge up front as a ``.tolist()`` copy makes; eid maps half-edge
+    positions back to edge ids."""
+    indptr, nbr, eid = adjacency(g)
+    return memoryview(indptr), memoryview(nbr), memoryview(g.colour[eid]), eid
+
+
+# ---------------------------------------------------------------------------
 # rainbow depth-first search
 
 class _Fenwick:
@@ -326,12 +339,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
         budget = None
         target = None
 
-    indptr, nbr, eid = adjacency(g)
-    iptr = indptr.tolist()
-    # the search touches about half the half-edges, so it reads the CSR in
-    # place: a memoryview item is a Python int, with no list built
-    nbr_v = memoryview(nbr)
-    hcol = memoryview(g.colour[eid])    # colour of each half-edge
+    iptr, nbr, hcol, eid = _csr_view(g)
 
     state = bytearray(n)            # 1 once visited
     fen = _Fenwick(n)
@@ -339,7 +347,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
     stack: list[int] = []
     par_in = [-1] * n
     pos_in = [-1] * n               # half-edge that discovered each vertex
-    aptr = iptr[:-1]
+    aptr = iptr[:-1].tolist()       # next half-edge to try, per vertex
     cursor = [-1] * n
     lset: set[int] = set()
     queries = 0
@@ -354,7 +362,7 @@ def rdfs_longest_path(g: ColouredGraph, mode: str = "faithful",
             p = aptr[v]
             end = iptr[v + 1]
             while p < end:
-                u = nbr_v[p]
+                u = nbr[p]
                 if state[u] == 0 and hcol[p] not in lset:
                     break
                 p += 1
@@ -463,12 +471,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
         s1 = s2 = dr = None
         gen = None
 
-    indptr, nbr, eid = adjacency(g)
-    # every half-edge is scanned, and a list item is faster to read than a
-    # memoryview one; trees hold half-edge positions until the end
-    iptr = indptr.tolist()
-    nbr_l = nbr.tolist()
-    hcol = g.colour[eid].tolist()   # colour of each half-edge
+    # trees hold half-edge positions until the end
+    iptr, nbr, hcol, eid = _csr_view(g)
 
     und = bytearray([1]) * n
     ucount = n
@@ -513,7 +517,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             thr = n
             queries += ucount
         for p in range(iptr[v], iptr[v + 1]):
-            u = nbr_l[p]
+            u = nbr[p]
             if u > thr or not und[u]:
                 continue
             colour = hcol[p]

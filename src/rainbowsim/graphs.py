@@ -31,9 +31,10 @@ def _as_index_array(a) -> np.ndarray:
 
 def _check_counts(**counts) -> None:
     """Raise ValueError unless every count is an integer; numpy integers
-    pass, floats such as 3.0 do not."""
+    pass, floats such as 3.0 and bools do not."""
     for name, x in counts.items():
-        if not isinstance(x, numbers.Integral):
+        # bool is an Integral; np.bool_ is not
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {x!r}")
 
 

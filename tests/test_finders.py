@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter, deque
 
 import networkx as nx
@@ -669,6 +670,25 @@ def test_rbfs_greedy_linear_tree_envelope():
     assert good >= 9
 
 
+def test_rbfs_peak_memory_per_half_edge():
+    # the explorer reads its CSR in place: a list copy of the neighbours and
+    # the half-edge colours, one int object per half-edge, took the peak to
+    # 182 (greedy) and 146 (faithful) bytes a half-edge here; in place it
+    # is 87 and 49
+    n = 20000
+    gen = RngStream(7, 0).generator()
+    g = colour_uniform(sample_gnp(n, 1.1 / n, gen), n, gen)
+    for kwargs in ({"mode": "greedy"},
+                   {"mode": "faithful", "delta": 0.05, "rng": RngStream(7, 1)}):
+        tracemalloc.start()
+        try:
+            rbfs_forest(g, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2 * g.m, (kwargs["mode"], peak / (2 * g.m))
+
+
 # ---------------------------------------------------------------------------
 # explorers against the Fenwick-tree references
 #
@@ -1221,6 +1241,28 @@ def test_explorers_pick_roots_in_ascending_order():
                                  rng=RngStream(3))
         assert_matches_reference(rdfs_longest_path, fenwick_rdfs_longest_path,
                                  g, mode=mode, delta=0.5, query_budget=10 ** 6)
+
+
+def test_rbfs_matches_fenwick_reference_at_medium_size():
+    # the hypothesis cases stop at n <= 40; here the giant of a coloured
+    # G(5000, 1.1/n) holds trees of hundreds of vertices
+    n = 5000
+    gen = RngStream(24, 0).generator()
+    g = colour_uniform(sample_gnp(n, 1.1 / n, gen), n, gen)
+    trace = assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                                     mode="greedy")
+    assert trace.stop_reason == "exhausted" and trace.order > 100
+    # the default eps (0.138 at alpha = 1) stops at the forest quota; at
+    # eps = 0.2 the tree target is 50, which one stream reaches
+    stops = set()
+    for eps in (None, 0.2):
+        for k in (1, 2):
+            trace = assert_matches_reference(rbfs_forest, fenwick_rbfs_forest,
+                                             g, mode="faithful", delta=0.05,
+                                             eps=eps, rng=RngStream(24, k))
+            assert trace.order > 1
+            stops.add(trace.stop_reason)
+    assert stops == {"quota", "target"}
 
 
 # ---------------------------------------------------------------------------

@@ -421,3 +421,18 @@ def test_numpy_integer_counts_are_accepted():
     coloured = colour_uniform(g, np.int64(5), RngStream(2))
     assert coloured.c == 5
     assert coloured.colour.min() >= 1 and coloured.colour.max() <= 5
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_bool_counts_are_refused_before_any_draw(flag):
+    # bool is an Integral, yet a flag is no vertex or colour count
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ColouredGraph(flag, 0, [], [], [])
+    with pytest.raises(ValueError, match="c must be an integer"):
+        ColouredGraph(0, flag, [], [], [])
+    gen = RngStream(1).generator()
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_gnp(flag, 0.5, gen)
+    with pytest.raises(ValueError, match="c must be an integer"):
+        colour_uniform(sample_gnp(6, 0.5, RngStream(2)), flag, gen)
+    assert gen.random() == RngStream(1).generator().random()
