@@ -149,7 +149,7 @@ def cmd_gen(args) -> int:
     write_edgelist(g, args.out)
     part = connected_components(g)
     _echo(config)
-    print(f"n={g.n} edges={g.m} components={len(part.sizes_desc)}")
+    print(f"n={g.n} edges={g.m} components={np.count_nonzero(part.sizes)}")
     return EXIT_OK
 
 

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
-from .finders import (NotFoundError, _sprinkle_round, rdfs_longest_path,
-                      subcritical_rainbow_tree, supercritical_rainbow_tree)
+from .finders import (NotFoundError, _sprinkle_round, _supercritical_tree,
+                      rdfs_longest_path, subcritical_rainbow_tree)
 from .graphs import (EmptyCoreError, children_index, connected_components,
                      subtree_size_below)
 from .models import (RngStream, RootTreeSizeSampler, colour_uniform,
@@ -76,6 +76,12 @@ def _row(params, values, reference, formula) -> SummaryRow:
            if reps > 1 else 0.0)
     return SummaryRow(params=params, mean=mean, std=math.sqrt(var), reps=reps,
                       reference=reference, formula=formula)
+
+
+def _check_size(n) -> None:
+    """A sized suite's p is a multiple of 1/n, so it needs a vertex."""
+    if n < 1:
+        raise InvalidConfigError("need n >= 1")
 
 
 def _share_check(name, good, reps, required, what) -> EnvelopeCheck:
@@ -266,11 +272,10 @@ def _rep_phase_super(n, c, eps, gen):
     g = colour_uniform(sample_gnp(n, (1.0 + eps) / n, gen), c, gen)
     part = connected_components(g)
     try:
-        _, report = supercritical_rainbow_tree(g)
-        order = report.final_tree_order
+        order = _supercritical_tree(g, part)[1].final_tree_order
     except EmptyCoreError:
         order = 0  # no core at this size; counted as a miss
-    return order, int(part.sizes_desc[0])
+    return order, int(part.sizes.max())
 
 
 def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
@@ -282,6 +287,7 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
     is recorded with every row because the finite-size deviation from the
     asymptotic reference grows as it shrinks.
     """
+    _check_size(n)
     rows, checks = [], []
     for eps in eps_grid:
         if eps == 0:
@@ -324,12 +330,12 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
 
 def _rep_giant(n, d, gen):
     g = sample_gnp(n, d / n, gen)
-    part = connected_components(g)
-    return int(part.sizes_desc[0]) / n
+    return int(connected_components(g).sizes.max()) / n
 
 
 def exp_giant_benchmark(n, d, reps, seed, threads=1):
     """Largest-component fraction against the survival probability gamma(d)."""
+    _check_size(n)
     fracs = _run_reps(_rep_giant, (n, d), reps, seed, threads)
     ref = survival_probability(d)
     row = _row((("n", n), ("d", d)), fracs, ref, "gamma(d)")
@@ -361,6 +367,7 @@ def _rep_cycle(n, c, d, delta, gen):
 
 def exp_cycle(n, c, d, delta, reps, seed, threads=1):
     """Success rate and length of the RDFS + sprinkle rainbow-cycle pipeline."""
+    _check_size(n)
     if not (0.0 < delta < 1.0):
         raise InvalidConfigError("need 0 < delta < 1")
     if d / n > 1.0:

@@ -101,7 +101,7 @@ def _assert_rainbow_tree(g: ColouredGraph, edge_ids) -> None:
     k = ids.size
     tree = ColouredGraph._trusted(verts.size, 0, ends[:k], ends[k:],
                                   np.zeros(k, dtype=np.int64), True)
-    assert connected_components(tree).sizes_desc.size == 1, \
+    assert connected_components(tree).sizes.max() == verts.size, \
         "finder output is not connected"
 
 
@@ -181,17 +181,21 @@ def supercritical_rainbow_tree(g: ColouredGraph):
     more times, the smaller branch of each colour pair, trees rooted off the
     kept piece) and return a spanning tree of what stays connected.
     """
+    return _supercritical_tree(g, connected_components(g))
+
+
+def _supercritical_tree(g: ColouredGraph, part):
+    """supercritical_rainbow_tree given ``part = connected_components(g)``,
+    for a caller that holds the partition already."""
     _require_coloured(g)
     if g.n == 0:
         raise EmptyCoreError("graph has no vertices")
-    part = connected_components(g)
     giant_id = part.largest_id()
     giant = np.flatnonzero(part.labels == giant_id)
 
     # unicyclic components: edge count equals vertex count
-    vcount = np.bincount(part.labels, minlength=g.n)
-    ecount = np.bincount(part.labels[g.u], minlength=g.n)
-    uni = (vcount > 0) & (ecount == vcount)
+    ecount = np.bincount(part.labels[g.u], minlength=g.n + 1)
+    uni = (part.sizes > 0) & (ecount == part.sizes)
     uni[giant_id] = False
     unicyclic = np.flatnonzero(uni[part.labels])
 

@@ -9,6 +9,7 @@ colour 0 marks an uncoloured edge and is only legal when c == 0.
 from __future__ import annotations
 
 import numbers
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -182,18 +183,17 @@ class VertexPartition:
     """Partition of the vertex set into connected components.
 
     Component ids are canonical: each component is labelled by its smallest
-    contained vertex. ``sizes_desc`` lists component orders in descending
-    order.
+    contained vertex. ``sizes[x]`` is the order of the component labelled x,
+    and 0 where x labels none; its n + 1 entries are never empty.
     """
 
     labels: np.ndarray
-    sizes_desc: np.ndarray
+    sizes: np.ndarray
 
     def largest_id(self) -> int:
-        """Id of the largest component; ties go to the smallest id."""
-        # labels are vertex ids, and argmax takes the first maximum; with no
-        # vertices the id is 0
-        return int(np.bincount(self.labels, minlength=1).argmax())
+        """Id of the largest component; ties go to the smallest id (argmax
+        takes the first maximum), and with no vertices the id is 0."""
+        return int(self.sizes.argmax())
 
 
 def connected_components(g: ColouredGraph) -> VertexPartition:
@@ -204,9 +204,7 @@ def connected_components(g: ColouredGraph) -> VertexPartition:
     rep = np.full(ncomp, g.n, dtype=np.int64)
     np.minimum.at(rep, raw, np.arange(g.n, dtype=np.int64))
     labels = rep[raw]
-    sizes = np.bincount(raw, minlength=ncomp)
-    sizes = np.sort(sizes)[::-1].astype(np.int64)
-    return VertexPartition(labels=labels, sizes_desc=sizes)
+    return VertexPartition(labels, np.bincount(labels, minlength=g.n + 1))
 
 
 def _peel(g: ColouredGraph):
@@ -458,6 +456,15 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
 # text formats
 
 _WRITE_CHUNK = 1 << 16
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(field: str) -> int:
+    """An integer field of the text formats: an optional sign and ASCII
+    digits; int() alone also takes underscores and non-ASCII digits."""
+    if _DECIMAL.fullmatch(field) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
 
 
 def write_edgelist(g: ColouredGraph, path) -> None:
@@ -484,7 +491,7 @@ def read_edgelist(path) -> ColouredGraph:
         head = fh.readline().split()
         if len(head) < 2:
             raise ValueError("edge list header must be `n c`")
-        n, c = int(head[0]), int(head[1])
+        n, c = _decimal(head[0]), _decimal(head[1])
         # numpy releases with loadtxt's deprecated float fallback parse a
         # field such as `1.5` as a float and truncate it under a
         # DeprecationWarning; made an error, whatever the caller's filters,
@@ -509,10 +516,10 @@ def forest_to_line(f: RootedForest) -> str:
 
 
 def forest_from_line(line: str) -> RootedForest:
-    """Parse forest_to_line's format; ValueError on a missing `m t` header,
-    a parent count other than m - t, or a forest RootedForest.check
-    rejects."""
-    vals = [int(x) for x in line.split()]
+    """Parse forest_to_line's format; ValueError on a field that is not a
+    decimal integer, a missing `m t` header, a parent count other than
+    m - t, or a forest RootedForest.check rejects."""
+    vals = [_decimal(x) for x in line.split()]
     if len(vals) < 2:
         raise ValueError("forest line needs an `m t` header")
     m, t = vals[0], vals[1]

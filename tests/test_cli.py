@@ -160,6 +160,42 @@ def test_gen_forest_refusal_leaves_stdout_empty(tmp_path, capsys):
     assert text == "" and not out.exists()
 
 
+@pytest.mark.parametrize("flags, out, lines, digest", [
+    # 12 of the 60 vertices are isolated
+    pytest.param(["--n", "60", "--p", "0.02", "--c", "20", "--seed", "7"],
+                 "g.edges",
+                 ['config {"c": 20, "command": "gen", "n": 60, '
+                  '"out": "g.edges", "p": 0.02, "seed": 7}',
+                  "n=60 edges=42 components=19"],
+                 "f4a874e2a38356f4e770df9716ccc9a062d7d9499b4969f3348f2d60e6bc2d43",
+                 id="gnp"),
+    # two loops, a parallel pair and an isolated vertex
+    pytest.param(["--model", "config", "--degrees", "3,3,2,2,1,1,2,2,0",
+                  "--c", "4", "--seed", "6"],
+                 "m.edges",
+                 ['config {"c": 4, "command": "gen", '
+                  '"degrees": [3, 3, 2, 2, 1, 1, 2, 2, 0], "model": "config", '
+                  '"out": "m.edges", "seed": 6}',
+                  "n=9 edges=8 components=4"],
+                 "9a24c2affdb91a3e92b6556bb42af7564d0e7ad59280b753704fd3ccf24c873e",
+                 id="config-multigraph"),
+    pytest.param(["--model", "forest", "--m", "9", "--t", "2", "--seed", "5"],
+                 "f.txt",
+                 ['config {"command": "gen", "m": 9, "model": "forest", '
+                  '"out": "f.txt", "seed": 5, "t": 2}',
+                  "m=9 t=2 edges=7"],
+                 "ffeef0cc2dd8b0116b3faa366b5802c8663394ac603cf07be62c87eb87c875a7",
+                 id="forest"),
+])
+def test_gen_outputs_are_frozen(tmp_path, monkeypatch, flags, out, lines,
+                                digest):
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli(["gen"] + flags + ["--out", out])
+    assert code == 0
+    assert text.splitlines() == lines
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     import rainbowsim
     src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowsim.__file__)))

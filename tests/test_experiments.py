@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rainbowsim import experiments as experiments_module
+from rainbowsim import finders as finders_module
 from rainbowsim.envelopes import ENVELOPES_VERSION
 from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     InvalidConfigError, SummaryRow,
@@ -18,7 +19,7 @@ from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     exp_tree_size_law,
                                     min_double_bridge_samples, raw_records,
                                     write_csv)
-from rainbowsim.graphs import RootedForest, subtree_sizes
+from rainbowsim.graphs import RootedForest, connected_components, subtree_sizes
 from rainbowsim.models import RngStream, RootTreeSizeSampler
 from rainbowsim.oracles import enumerate_forests
 
@@ -167,6 +168,22 @@ def test_phase_transition_smoke():
 def test_phase_transition_rejects_zero_eps():
     with pytest.raises(InvalidConfigError):
         exp_phase_transition(1000, 1000, (0.0,), 2, 1)
+
+
+def test_phase_super_computes_components_once_per_repetition(monkeypatch):
+    # the suite hands its partition of the whole graph to the finder; the
+    # finder's own calls on its core piece and its tree have fewer vertices
+    seen = []
+
+    def counting(g):
+        seen.append(g.n)
+        return connected_components(g)
+
+    for module in (experiments_module, finders_module):
+        monkeypatch.setattr(module, "connected_components", counting)
+    rows, _ = exp_phase_transition(3000, 3000, (0.2,), 4, 2024)
+    assert seen.count(3000) == 4
+    assert rows[0].mean == (400 + 494 + 491 + 523) / 4
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +438,26 @@ _ZERO_REPS = [
 def test_suites_refuse_zero_reps(run, kw):
     with pytest.raises(InvalidConfigError, match="need reps >= 1"):
         run(**kw, reps=0, seed=1)
+
+
+_SIZED = [
+    (exp_phase_transition, {"c": 3000, "eps_grid": (0.2,)}),
+    (exp_phase_transition, {"c": 3000, "eps_grid": (-0.2,)}),
+    (exp_giant_benchmark, {"d": 2.0}),
+    (exp_cycle, {"c": 2000, "d": 129.0, "delta": 0.5}),
+]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("run, kw", _SIZED,
+                         ids=["phase-super", "phase-sub", "giant", "cycle"])
+def test_sized_suites_refuse_n_below_one(monkeypatch, run, kw, n):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(experiments_module, "_run_reps", no_draw)
+    with pytest.raises(InvalidConfigError, match="need n >= 1"):
+        run(n=n, **kw, reps=2, seed=1)
 
 
 @pytest.mark.parametrize("threads, reps, cores, workers", [

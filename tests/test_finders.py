@@ -318,8 +318,7 @@ def test_supercritical_invariants_on_random_samples():
         assert is_rainbow(g, tree)
         assert report.final_tree_order == tree_order(g, tree)
         part = connected_components(g)
-        assert report.final_tree_order <= part.sizes_desc[0] + \
-            part.sizes_desc[1:].sum()
+        assert report.final_tree_order <= part.sizes.sum()
         for x in (report.deleted_shared_colour, report.deleted_high_frequency,
                   report.deleted_double_colour, report.deleted_unrooted_trees):
             assert x >= 0

@@ -193,6 +193,9 @@ def test_read_edgelist_header_only(tmp_path, body):
     "\n0 1 1\n",                             # empty header
     "3\n0 1 1\n",                            # short header
     "3 two\n0 1 1\n",                        # malformed header
+    "1_0 3\n0 1 1\n",                        # underscore in the header
+    "3 1_0\n0 1 1\n",
+    "3 2\n0 1_0 1\n",                       # and in the body
 ])
 def test_read_edgelist_rejects_malformed_input(tmp_path, text):
     path = tmp_path / "bad.edges"
@@ -313,15 +316,15 @@ def test_components_empty_graph():
     for n in (0, 3):
         part = connected_components(ColouredGraph.from_edges(n, [], c=0))
         assert part.labels.tolist() == list(range(n))
-        assert part.sizes_desc.tolist() == [1] * n
-        assert part.labels.dtype == part.sizes_desc.dtype == np.int64
+        assert part.sizes.tolist() == [1] * n + [0]
+        assert part.labels.dtype == part.sizes.dtype == np.int64
 
 
 def test_components_path_plus_isolated():
     g = ColouredGraph.from_edges(4, [(0, 1, 1), (1, 2, 1)], c=1)
     part = connected_components(g)
     assert part.labels.tolist() == [0, 0, 0, 3]
-    assert part.sizes_desc.tolist() == [3, 1]
+    assert part.sizes.tolist() == [3, 0, 0, 1, 0]
     assert np.flatnonzero(part.labels == part.largest_id()).tolist() == [0, 1, 2]
 
 
@@ -334,7 +337,7 @@ def test_components_match_independent_bfs():
         mine.setdefault(lab, []).append(v)
     assert sorted(sorted(c) for c in mine.values()) == sorted(oracle)
     gamma2 = survival_probability(2.0)
-    assert 0.6 * gamma2 * 1000 <= part.sizes_desc[0] <= 1000
+    assert 0.6 * gamma2 * 1000 <= part.sizes.max() <= 1000
 
 
 def test_components_relabelling_invariant():
@@ -343,8 +346,9 @@ def test_components_relabelling_invariant():
     perm = gen.permutation(300)
     g2 = ColouredGraph(n=300, c=0, u=perm[g.u], v=perm[g.v],
                        colour=g.colour)
-    a = connected_components(g).sizes_desc
-    b = connected_components(g2).sizes_desc
+    # the orders, and as many zeros as there are non-labels
+    a = np.sort(connected_components(g).sizes)
+    b = np.sort(connected_components(g2).sizes)
     assert a.tolist() == b.tolist()
 
 
@@ -373,8 +377,10 @@ def test_components_match_networkx(g):
         want[list(comp)] = min(comp)
     part = connected_components(g)
     assert part.labels.tolist() == want.tolist()
-    assert part.sizes_desc.tolist() == sorted((len(c) for c in comps),
-                                              reverse=True)
+    want_sizes = np.zeros(g.n + 1, dtype=np.int64)
+    for comp in comps:
+        want_sizes[min(comp)] = len(comp)
+    assert part.sizes.tolist() == want_sizes.tolist()
     if g.n:
         biggest = max(len(c) for c in comps)
         assert part.largest_id() == min(min(c) for c in comps
@@ -393,6 +399,40 @@ def test_largest_id_ties_go_to_smallest_id(n, edges, want):
     g = ColouredGraph.from_edges(n, [(a, b, 0) for a, b in edges],
                                  multigraph=True)
     assert connected_components(g).largest_id() == want
+
+
+@st.composite
+def tied_components(draw):
+    """Disjoint copies of random trees of one order (a tie for the largest
+    component, unless a single copy), smaller trees and isolated vertices,
+    under a random relabelling; n may be 0."""
+    orders = draw(st.lists(st.integers(1, 6), max_size=4))
+    if orders:
+        orders += [max(orders)] * draw(st.integers(0, 2))
+    orders += [1] * draw(st.integers(0, 3))
+    n = sum(orders)
+    perm = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for k in orders:
+        for x in range(start + 1, start + k):
+            edges.append((perm[x], perm[draw(st.integers(start, x - 1))], 0))
+        start += k
+    return ColouredGraph.from_edges(n, edges, multigraph=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_components())
+def test_component_sizes_table_matches_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(zip(g.u.tolist(), g.v.tolist()))
+    order = {min(comp): len(comp) for comp in nx.connected_components(h)}
+    part = connected_components(g)
+    assert part.sizes.shape == (g.n + 1,)
+    assert part.sizes.tolist() == [order.get(x, 0) for x in range(g.n + 1)]
+    biggest = max(order.values(), default=0)
+    assert part.largest_id() == min(
+        (x for x, k in order.items() if k == biggest), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -942,6 +982,13 @@ def test_edgelist_multigraph_detection(tmp_path):
     assert g2.edge_list() == g.edge_list()
 
 
+def test_forest_line_accepts_signs():
+    f = forest_from_line("+3 1 0 +1")
+    assert (f.m, f.t, f.parent.tolist()) == (3, 1, [-1, 0, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        forest_from_line("3 1 0 -1")
+
+
 def test_forest_line_roundtrip():
     f = RootedForest(m=5, t=2, parent=np.array([-1, -1, 0, 2, 1]))
     line = forest_to_line(f)
@@ -955,6 +1002,11 @@ def test_forest_line_roundtrip():
     ("3 1 2 1", "cycle"),
     ("", "header"),
     ("5 2 0 0", "need m - t = 3"),
+    ("3 1 0 0_1", "invalid literal"),
+    ("1_0 1 " + "0 " * 9, "invalid literal"),
+    ("3 1 0 \u0663", "invalid literal"),        # ARABIC-INDIC DIGIT THREE
+    ("\u0663 1 0 0", "invalid literal"),
+    ("3 1 0 1.0", "invalid literal"),
 ])
 def test_forest_from_line_rejects(line, message):
     with pytest.raises(ValueError, match=message):
@@ -979,4 +1031,4 @@ def test_public_constructor_refuses_non_integer_counts(n, c, message):
 def test_public_constructor_accepts_numpy_integer_counts():
     g = ColouredGraph(np.int64(5), np.int64(2), [0, 1], [1, 4], [1, 2])
     assert g.n == 5 and g.c == 2
-    assert connected_components(g).sizes_desc.tolist() == [3, 1, 1]
+    assert connected_components(g).sizes.tolist() == [3, 0, 1, 1, 0, 0]
