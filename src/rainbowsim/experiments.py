@@ -12,9 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import chain
+
+import numpy as np
 
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
 from .finders import (NotFoundError, _sprinkle_round, _supercritical_tree,
@@ -84,6 +88,12 @@ def _check_size(n) -> None:
         raise InvalidConfigError("need n >= 1")
 
 
+def _check_probability(p) -> None:
+    """A suite refuses its edge probability before any repetition draws."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidConfigError(f"edge probability {p} is outside [0, 1]")
+
+
 def _share_check(name, good, reps, required, what) -> EnvelopeCheck:
     """Passes when ``good`` is at least ENVELOPES[required]/10 of ``reps``."""
     need = ENVELOPES[required]
@@ -91,27 +101,99 @@ def _share_check(name, good, reps, required, what) -> EnvelopeCheck:
                          observed=good, bound=f">= {need}/10 {what}")
 
 
-def _rep_job(fn, params, seed, rep):
-    return fn(*params, RngStream(seed, rep).generator())
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(value, const, mult):
+    """SeedSequence's hash of a uint32 array: (hashed, next constant)."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _MASK32
+    value *= np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _stream_keys(seed, streams) -> list:
+    """[k0, k1], the Philox key of RngStream(seed, s).generator(), for each
+    s of the uint64 array ``streams``, in one numpy pass.
+
+    SeedSequence mixes the seed's words (padded to four) into a pool of
+    four uint32 words, then mixes in each word of the stream, then hashes
+    the pool into the key. The pool after the seed is
+    SeedSequence(seed).pool (which hashes zeros where the padding would
+    be), the same for every stream. Each hash step
+    multiplies by a constant that does not depend on the data, so the
+    stream words of all repetitions mix as uint32 array arithmetic.
+    """
+    pool0 = np.random.SeedSequence(seed).pool  # refuses a negative seed
+    # 4 words hashed in, 12 all-to-all mixes, 4 mixes per further seed word
+    seed_words = max(4, -(-int(seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 * seed_words, 1 << 32) & _MASK32
+    pool = np.repeat(pool0[:, None], streams.size, axis=1)
+    # a stream is one word below 2^32 and two words from there on
+    two = streams > _MASK32
+    for rows, word in ((slice(None), streams),
+                       (two, streams[two] >> np.uint64(32))):
+        word = (word & _MASK32).astype(np.uint32)
+        for dst in range(4):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            mixed = (np.uint32(_MIX_L) * pool[dst, rows]
+                     - np.uint32(_MIX_R) * hashed)
+            pool[dst, rows] = mixed ^ (mixed >> np.uint32(16))
+    state, const = [], _INIT_B
+    for word in pool:
+        hashed, const = _hashmix(word, const, _MULT_B)
+        state.append(hashed.astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1).tolist()
+
+
+_KEY_BLOCK = 4096  # keys per numpy pass; a long run holds one block of them
+_PER_THREAD = threading.local()
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rep_job(fn, params, key):
+    """fn(*params, gen), where gen is this thread's one reused Philox
+    generator reset to ``key`` as a fresh RngStream(seed, rep).generator()
+    starts: counter zero, its 4-word output buffer empty (``buffer_pos``
+    4) and no spare 32-bit half-draw (``has_uint32``, ``uinteger``)."""
+    gen = getattr(_PER_THREAD, "gen", None)
+    if gen is None:
+        gen = _PER_THREAD.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return fn(*params, gen)
 
 
 def _run_reps(fn, params, reps, seed, threads=1):
     """[fn(*params, gen) for each repetition], in repetition order, where
     repetition i's gen draws from stream (seed, i).
 
-    Runs in at most ``threads`` worker processes, and in no more than there
-    are repetitions or cores.
+    The streams' keys come from numpy passes over ``_KEY_BLOCK``
+    repetitions at a time (``_stream_keys``), and each repetition resets
+    a reused generator to its key rather than building a SeedSequence and
+    a Philox. Runs in at most ``threads`` worker processes, and in no more
+    than there are repetitions or cores.
     """
     # the single-stream samplers (min_double_bridge_samples, exp_tree_size_law)
     # keep one generator for every draw: their draw sequences are defined so
-    job = partial(_rep_job, fn, params, seed)
+    keys = chain.from_iterable(
+        _stream_keys(seed, np.arange(lo, min(lo + _KEY_BLOCK, reps),
+                                     dtype=np.uint64))
+        for lo in range(0, reps, _KEY_BLOCK))
+    job = partial(_rep_job, fn, params)
     workers = min(threads, reps, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunk = max(1, reps // (workers * 4))
-            return list(ex.map(job, range(reps), chunksize=chunk))
-    return [job(i) for i in range(reps)]
+            return list(ex.map(job, keys, chunksize=chunk))
+    return [job(key) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +208,10 @@ def _rep_bridge(m, t, gen):
 def exp_min_split(m_grid, reps, seed, threads=1):
     """Smaller side of a uniform tree split at a uniform edge; reference sqrt(m)."""
     grid = list(m_grid)
+    if any(m < 2 for m in grid):
+        raise InvalidConfigError("min-split needs m >= 2")
     by_m = {}
     for m in grid:
-        if m < 2:
-            raise InvalidConfigError("min-split needs m >= 2")
         if m in by_m:
             continue
         # a one-root forest is a uniform tree, and the bridge number is the
@@ -288,10 +370,13 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
     asymptotic reference grows as it shrinks.
     """
     _check_size(n)
+    eps_grid = list(eps_grid)
+    if 0 in eps_grid:
+        raise InvalidConfigError("eps must be nonzero")
+    for eps in eps_grid:
+        _check_probability((1.0 + eps) / n)  # (1 - |eps|)/n when eps < 0
     rows, checks = [], []
     for eps in eps_grid:
-        if eps == 0:
-            raise InvalidConfigError("eps must be nonzero")
         a = abs(eps)
         eps3n = a ** 3 * n
         params = (("n", n), ("c", c), ("eps", eps), ("eps3n", eps3n))
@@ -336,6 +421,7 @@ def _rep_giant(n, d, gen):
 def exp_giant_benchmark(n, d, reps, seed, threads=1):
     """Largest-component fraction against the survival probability gamma(d)."""
     _check_size(n)
+    _check_probability(d / n)
     fracs = _run_reps(_rep_giant, (n, d), reps, seed, threads)
     ref = survival_probability(d)
     row = _row((("n", n), ("d", d)), fracs, ref, "gamma(d)")
@@ -372,6 +458,7 @@ def exp_cycle(n, c, d, delta, reps, seed, threads=1):
         raise InvalidConfigError("need 0 < delta < 1")
     if d / n > 1.0:
         raise InvalidConfigError("d/n exceeds 1")
+    _check_probability((d - 1.0) / n)
     lengths = _run_reps(_rep_cycle, (n, c, d, delta), reps, seed, threads)
     target = (1.0 - delta) * min(n, c)
     successes = sum(1 for ln in lengths if ln >= target)

@@ -339,10 +339,13 @@ def subtree_sizes(f: RootedForest) -> np.ndarray:
 def children_index(f: RootedForest):
     """(indptr, order): children of x are order[indptr[x+1]:indptr[x+2]].
 
-    Group 0 of ``order`` holds the roots.
+    Group 0 of ``order`` holds the roots. The stable sort runs on the key
+    cast to the narrowest unsigned type that holds m: numpy radix-sorts
+    keys of up to 16 bits, and a stable order does not depend on the key's
+    type.
     """
     key = f.parent + 1
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.min_scalar_type(f.m)), kind="stable")
     counts = np.bincount(key, minlength=f.m + 1)
     indptr = np.zeros(f.m + 2, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -154,6 +154,9 @@ def sample_configuration(d, rng=None) -> ColouredGraph:
 # ---------------------------------------------------------------------------
 # uniform rooted forests
 
+_WILSON_SLICE = 256  # draws converted to Python ints at a time
+
+
 def _iter_wilson_parents(m: int, t: int, gen, count: int):
     """Yield ``count`` parent lists of uniform (m, t)-forests from loop-erased
     walks.
@@ -162,21 +165,30 @@ def _iter_wilson_parents(m: int, t: int, gen, count: int):
     and is absorbed on hitting the growing forest; overwriting the
     successor pointer performs the loop erasure. One draw buffer is shared
     across all yielded samples, so bulk consumers pay no per-sample numpy
-    overhead.
+    overhead. The buffer is drawn whole, ``chunk`` values at a time, when
+    the walk first needs a value past its end, and it is converted to
+    Python ints one ``_WILSON_SLICE`` at a time as the walk reaches them:
+    a single forest reads only part of its chunk.
     """
     chunk = min(1 << 15, max(64, 4 * m))  # fixes the draw sequence
     hi = m - 1
-    buf: list = []
-    ptr = chunk                     # the first draw fills the buffer
+    draws = None
+    nxt = chunk                     # where the next slice of draws starts
+    buf: list = []                  # the slice being read, as Python ints
+    ptr = end = 0
     for _ in range(count):
         parent = [-1] * m
         in_forest = bytearray([1]) * t + bytearray(m - t)
         for i in range(t, m):
             u = i
             while not in_forest[u]:
-                if ptr == chunk:
-                    buf = gen.integers(0, hi, size=chunk).tolist()
-                    ptr = 0
+                if ptr == end:
+                    if nxt == chunk:
+                        draws = gen.integers(0, hi, size=chunk)
+                        nxt = 0
+                    buf = draws[nxt:nxt + _WILSON_SLICE].tolist()
+                    ptr, end = 0, len(buf)
+                    nxt += end
                 x = buf[ptr]
                 ptr += 1
                 if x >= u:
@@ -250,13 +262,6 @@ class RootTreeSizeSampler:
         self._extend_to(u)
         k = bisect.bisect_left(self._cdf, u)
         return min(max(k, 1), self.m - self.t + 1)
-
-    def pmf(self, k: int) -> float:
-        if self._cdf is None:
-            return 1.0 if k == self.m else 0.0
-        if not (1 <= k <= self.m - self.t + 1):
-            return 0.0
-        return math.exp(self._log_pmf(k))
 
 
 # ---------------------------------------------------------------------------

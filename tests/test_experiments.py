@@ -13,6 +13,7 @@ from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     _PairSizeSampler, _rep_bridge, _rep_cycle, _rep_giant,
                                     _rep_phase_sub,
                                     _rep_phase_super, _run_reps,
+                                    _stream_keys,
                                     exp_bridge_number, exp_cycle,
                                     exp_giant_benchmark, exp_min_double_bridge,
                                     exp_min_split, exp_phase_transition,
@@ -394,11 +395,11 @@ def test_min_split_runs_each_distinct_m_once(monkeypatch):
     _, rows, checks = _FROZEN_SUITES[0].values
     assert exp_min_split((4, 16, 4), 8, 2024) == (rows, checks)
     assert calls == [(4, 1), (16, 1)]
-    # the m < 2 refusal still comes in grid order
+    # the m < 2 refusal comes before any repetition
     calls.clear()
     with pytest.raises(InvalidConfigError):
         exp_min_split((4, 1, 16), 8, 2024)
-    assert calls == [(4, 1)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("run, rows, checks", _FROZEN_SUITES)
@@ -458,6 +459,77 @@ def test_sized_suites_refuse_n_below_one(monkeypatch, run, kw, n):
     monkeypatch.setattr(experiments_module, "_run_reps", no_draw)
     with pytest.raises(InvalidConfigError, match="need n >= 1"):
         run(n=n, **kw, reps=2, seed=1)
+
+
+_OUTSIDE = r"edge probability .* is outside \[0, 1\]"
+
+
+@pytest.mark.parametrize("run, args, message", [
+    (exp_min_split, ((4, 1), 10, 1), "min-split needs m >= 2"),
+    (exp_phase_transition, (100, 100, (-0.1, 0.0), 2, 1),
+     "eps must be nonzero"),
+    (exp_phase_transition, (1, 1, (0.1,), 2, 1), _OUTSIDE),
+    (exp_phase_transition, (1, 1, (-0.1, 0.1), 2, 1), _OUTSIDE),
+    (exp_phase_transition, (10, 10, (-0.1, -11.0), 2, 1), _OUTSIDE),
+    (exp_phase_transition, (10, 10, (-0.1, float("nan")), 2, 1), _OUTSIDE),
+    (exp_giant_benchmark, (1, 2.0, 2, 1), _OUTSIDE),
+    (exp_giant_benchmark, (100, -1.0, 2, 1), _OUTSIDE),
+    (exp_cycle, (100, 100, 0.5, 0.5, 2, 1), _OUTSIDE),
+], ids=["min-split-grid", "phase-grid", "phase-super", "phase-sub-then-super",
+        "phase-sub-negative", "phase-nan", "giant", "giant-negative",
+        "cycle-below-one"])
+def test_suites_check_grid_and_probabilities_before_any_repetition(
+        monkeypatch, run, args, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(experiments_module, "_run_reps", no_draw)
+    with pytest.raises(InvalidConfigError, match=message):
+        run(*args)
+
+
+_KEY_SEEDS = [0, 1, 2024, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1,
+              2 ** 64, 2 ** 64 + 1, 2 ** 128 + 3, 2 ** 200 + 7]
+
+
+@pytest.mark.parametrize("seed", _KEY_SEEDS)
+def test_stream_keys_match_seed_sequence(seed):
+    # 11 seeds x 1000 streams, from 0 up and across 2^32 and 2^64 - 1
+    rng = np.random.default_rng(seed % 2 ** 64)
+    streams = np.concatenate([
+        np.arange(900, dtype=np.uint64),
+        np.array([2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 7, 2 ** 63,
+                  2 ** 64 - 1], dtype=np.uint64),
+        rng.integers(0, 2 ** 64 - 1, size=94, dtype=np.uint64, endpoint=True),
+    ])
+    got = _stream_keys(seed, streams)
+    assert len(got) == streams.size
+    for key, stream in zip(got, streams.tolist()):
+        want = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+        assert key == want.generate_state(2, np.uint64).tolist()
+
+
+def test_stream_keys_refuse_a_negative_seed():
+    with pytest.raises(ValueError):
+        _stream_keys(-1, np.arange(3, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        _run_reps(_rep_bridge, (4, 1), 3, -1)
+
+
+def _odd_draws(k, gen):
+    """k 32-bit draws, leaving a spare 32-bit value when k is odd, then a
+    double, leaving Philox's 4-word buffer part-read."""
+    return (gen.integers(0, 2 ** 32, size=k, dtype=np.uint32).tolist(),
+            gen.random(), gen.integers(0, 2 ** 32, dtype=np.uint32).item())
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_reused_generator_starts_each_repetition_afresh(k):
+    # a repetition that leaves a spare 32-bit value and a part-read buffer
+    # must not leak either into the next one
+    got = _run_reps(_odd_draws, (k,), 6, 2024)
+    assert got == [_odd_draws(k, RngStream(2024, rep).generator())
+                   for rep in range(6)]
 
 
 @pytest.mark.parametrize("threads, reps, cores, workers", [

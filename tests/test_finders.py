@@ -317,8 +317,17 @@ def test_supercritical_invariants_on_random_samples():
         done += 1
         assert is_rainbow(g, tree)
         assert report.final_tree_order == tree_order(g, tree)
-        part = connected_components(g)
-        assert report.final_tree_order <= part.sizes.sum()
+        # the tree lies in the giant (the largest component, ties to the
+        # smallest vertex) plus the other unicyclic components
+        nxg = nx.Graph(zip(g.u.tolist(), g.v.tolist()))
+        nxg.add_nodes_from(range(g.n))
+        comps = list(nx.connected_components(nxg))
+        giant = max(comps, key=lambda comp: (len(comp), -min(comp)))
+        region = set(giant).union(*(
+            comp for comp in comps if comp is not giant
+            and nxg.subgraph(comp).number_of_edges() == len(comp)))
+        assert set(g.u[tree].tolist()) | set(g.v[tree].tolist()) <= region
+        assert report.final_tree_order <= len(region) < g.n
         for x in (report.deleted_shared_colour, report.deleted_high_frequency,
                   report.deleted_double_colour, report.deleted_unrooted_trees):
             assert x >= 0

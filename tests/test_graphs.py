@@ -13,7 +13,7 @@ from rainbowsim import graphs as graphs_module
 from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
                                EmptyCoreError, RootedForest, _climb,
                                _peel, adjacency, bridge_number,
-                               connected_components,
+                               children_index, connected_components,
                                core_forest_decomposition, forest_depths,
                                forest_from_line, forest_to_line, is_rainbow,
                                read_edgelist, subtree_sizes, two_core,
@@ -758,6 +758,27 @@ def test_bridge_number_against_component_recount():
         comps = bfs_components(m, [(a, b, 0) for a, b in edges])
         far = next(c for c in comps if w in c)
         assert got == len(far)
+
+
+@pytest.mark.parametrize("m", [1, 4, 255, 256, 1600, 65535, 65536, 70000])
+def test_children_index_matches_int64_stable_argsort(m):
+    # the narrow key's stable order is the int64 key's: a uniform forest,
+    # and a star that hangs every other non-root off vertex m - 1 so the
+    # largest key, m, occurs at each type boundary
+    t = min(3, m)
+    forests = [sample_uniform_forest(m, t, RngStream(70, m))]
+    if m - 1 > t:
+        star = np.full(m, m - 1)
+        star[:t] = -1
+        star[m - 1] = 0
+        forests.append(RootedForest(m=m, t=t, parent=star))
+    for f in forests:
+        key = f.parent + 1
+        indptr, order = children_index(f)
+        assert order.tolist() == np.argsort(key, kind="stable").tolist()
+        assert order.dtype == np.intp
+        assert indptr.tolist() == [0] + np.cumsum(
+            np.bincount(key, minlength=m + 1)).tolist()
 
 
 def test_forest_depths_out_of_range_parent():

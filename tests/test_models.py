@@ -203,6 +203,61 @@ def test_forest_uniformity_all_small_cases():
                 assert chisquare(list(counts.values())).pvalue > CHI2_SIGNIFICANCE
 
 
+def chunk_tolist_iter_wilson_parents(m: int, t: int, gen, count: int):
+    """_iter_wilson_parents when it converted each whole draw chunk to
+    Python ints as soon as it was drawn, kept verbatim as the reference."""
+    chunk = min(1 << 15, max(64, 4 * m))  # fixes the draw sequence
+    hi = m - 1
+    buf: list = []
+    ptr = chunk                     # the first draw fills the buffer
+    for _ in range(count):
+        parent = [-1] * m
+        in_forest = bytearray([1]) * t + bytearray(m - t)
+        for i in range(t, m):
+            u = i
+            while not in_forest[u]:
+                if ptr == chunk:
+                    buf = gen.integers(0, hi, size=chunk).tolist()
+                    ptr = 0
+                x = buf[ptr]
+                ptr += 1
+                if x >= u:
+                    x += 1
+                parent[u] = x
+                u = x
+            u = i
+            while not in_forest[u]:
+                in_forest[u] = 1
+                u = parent[u]
+        yield parent
+
+
+# chunks of 64 (m <= 16), of 256 = one slice (m = 64), of one slice and 4
+# draws (m = 65), of several slices, and at the 32768 cap (m >= 8192)
+_WILSON_CASES = [(1, 1, 50), (2, 1, 400), (4, 1, 300), (6, 3, 300),
+                 (16, 1, 100), (64, 1, 40), (65, 1, 40), (100, 7, 20),
+                 (1000, 50, 12), (1600, 1, 3), (8192, 1, 2), (9000, 3, 3),
+                 (20000, 1, 1)]
+
+
+@pytest.mark.parametrize("m, t, count", _WILSON_CASES)
+def test_wilson_draws_match_chunk_tolist_reference(m, t, count):
+    for stream in range(3):
+        # bulk: one shared buffer across every sample
+        got_gen = RngStream(4600 + m, stream).generator()
+        want_gen = RngStream(4600 + m, stream).generator()
+        assert (list(_iter_wilson_parents(m, t, got_gen, count))
+                == list(chunk_tolist_iter_wilson_parents(m, t, want_gen,
+                                                          count)))
+        assert got_gen.random() == want_gen.random()
+        # single: a fresh buffer per sample, on one generator
+        for _ in range(min(count, 5)):
+            got = sample_uniform_forest(m, t, got_gen).parent.tolist()
+            assert got == next(chunk_tolist_iter_wilson_parents(
+                m, t, want_gen, 1))
+            assert got_gen.random() == want_gen.random()
+
+
 # ---------------------------------------------------------------------------
 # root-tree-size marginal sampler
 
@@ -223,8 +278,8 @@ def test_root_tree_size_pmf_matches_enumeration():
             counts[len(members)] += 1
         sampler = RootTreeSizeSampler(m, t)
         for k in range(1, m - t + 2):
-            assert sampler.pmf(k) == pytest.approx(counts.get(k, 0) / res.count,
-                                                   abs=1e-12)
+            assert math.exp(sampler._log_pmf(k)) == pytest.approx(
+                counts.get(k, 0) / res.count, abs=1e-12)
 
 
 def test_root_tree_size_sampler_matches_wilson():
