@@ -4,12 +4,11 @@ rainbow-tree/path/cycle finders, exact small-instance oracles and a seeded
 Monte Carlo experiment harness.
 """
 
-from .graphs import (ColouredGraph, CoreDecomposition, EdgeNotInForestError,
-                     EmptyCoreError, RootedForest, VertexPartition, adjacency,
-                     bridge_number, connected_components,
-                     core_forest_decomposition, forest_from_line,
-                     forest_to_line, is_rainbow, read_edgelist, subtree_sizes,
-                     two_core, write_edgelist)
+from .graphs import (ColouredGraph, CoreDecomposition, EmptyCoreError,
+                     RootedForest, VertexPartition, adjacency,
+                     connected_components, core_forest_decomposition,
+                     forest_from_line, forest_to_line, is_rainbow,
+                     read_edgelist, subtree_sizes, two_core, write_edgelist)
 from .models import (DegreeSequence, InvalidProbabilityError,
                      InvalidRootCountError, OddDegreeSumError, RngStream,
                      RootTreeSizeSampler, as_generator, colour_uniform,

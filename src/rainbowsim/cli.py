@@ -52,19 +52,16 @@ def _usage_error(message: str):
 
 
 def _resolve_p(args) -> float:
+    """The flags' edge probability; sample_gnp refuses one outside [0, 1]."""
     if args.p is not None:
-        p = args.p
-    elif args.eps is None and args.d is None:
+        return args.p
+    if args.eps is None and args.d is None:
         _usage_error("one of --p, --eps, --d is required")
-    elif args.n is None or args.n < 1:
+    if args.n is None or args.n < 1:
         _usage_error("--eps and --d need --n of at least 1")
-    elif args.eps is not None:
-        p = (1.0 + args.eps) / args.n
-    else:
-        p = args.d / args.n
-    if not 0.0 <= p <= 1.0:
-        _usage_error(f"edge probability {p} is outside [0, 1]")
-    return p
+    if args.eps is not None:
+        return (1.0 + args.eps) / args.n
+    return args.d / args.n
 
 
 def _add_generator_flags(sub):

@@ -23,10 +23,11 @@ import numpy as np
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
 from .finders import (NotFoundError, _sprinkle_round, _supercritical_tree,
                       rdfs_longest_path, subcritical_rainbow_tree)
-from .graphs import (EmptyCoreError, children_index, connected_components,
-                     subtree_size_below)
-from .models import (RngStream, RootTreeSizeSampler, colour_uniform,
-                     sample_gnp, sample_uniform_forest, survival_probability)
+from .graphs import (EmptyCoreError, _check_counts, _check_roots,
+                     children_index, connected_components, subtree_size_below)
+from .models import (RngStream, RootTreeSizeSampler, _check_colours,
+                     _check_probability, colour_uniform, sample_gnp,
+                     sample_uniform_forest, survival_probability)
 
 
 class InvalidConfigError(ValueError):
@@ -83,15 +84,10 @@ def _row(params, values, reference, formula) -> SummaryRow:
 
 
 def _check_size(n) -> None:
-    """A sized suite's p is a multiple of 1/n, so it needs a vertex."""
+    """A sized suite's p is a multiple of 1/n: it needs an integer n >= 1."""
+    _check_counts(n=n)
     if n < 1:
         raise InvalidConfigError("need n >= 1")
-
-
-def _check_probability(p) -> None:
-    """A suite refuses its edge probability before any repetition draws."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidConfigError(f"edge probability {p} is outside [0, 1]")
 
 
 def _share_check(name, good, reps, required, what) -> EnvelopeCheck:
@@ -210,6 +206,8 @@ def exp_min_split(m_grid, reps, seed, threads=1):
     grid = list(m_grid)
     if any(m < 2 for m in grid):
         raise InvalidConfigError("min-split needs m >= 2")
+    for m in grid:
+        _check_roots(m, 1)
     by_m = {}
     for m in grid:
         if m in by_m:
@@ -241,6 +239,7 @@ def exp_min_split(m_grid, reps, seed, threads=1):
 
 def exp_bridge_number(m, t, reps, seed, threads=1):
     """Mean bridge number of a uniform forest edge, one-sided against m/(t+1)."""
+    _check_roots(m, t)
     if m - t < 1:
         raise InvalidConfigError("needs at least one edge (m > t)")
     vals = _run_reps(_rep_bridge, (m, t), reps, seed, threads)
@@ -287,10 +286,16 @@ class _PairSizeSampler:
             # any other pair of added edges would not leave a rooted forest
 
 
-def min_double_bridge_samples(m, t, reps, seed, stream=0):
-    """Monte Carlo draws of min of the two bridge numbers of distinct edges."""
+def _check_edge_pair(m, t) -> None:
+    """A uniform (m, t)-forest needs two edges to pick a distinct pair."""
+    _check_roots(m, t)
     if m - t < 2:
         raise InvalidConfigError("needs at least two edges (m - t >= 2)")
+
+
+def min_double_bridge_samples(m, t, reps, seed, stream=0):
+    """Monte Carlo draws of min of the two bridge numbers of distinct edges."""
+    _check_edge_pair(m, t)
     gen = RngStream(seed, stream).generator()
     sampler = _PairSizeSampler(m, t)
     return [sampler.draw(gen) for _ in range(reps)]
@@ -301,6 +306,8 @@ DOUBLE_BRIDGE_M_FACTOR = 100
 
 def exp_min_double_bridge(t_grid, reps, seed):
     """Normalised mean of the smaller bridge number of an edge pair, per t."""
+    for t in t_grid:
+        _check_edge_pair(DOUBLE_BRIDGE_M_FACTOR * t, t)
     rows, checks = [], []
     normalised = []
     for idx, t in enumerate(t_grid):
@@ -370,6 +377,7 @@ def exp_phase_transition(n, c, eps_grid, reps, seed, threads=1):
     asymptotic reference grows as it shrinks.
     """
     _check_size(n)
+    _check_colours(c)
     eps_grid = list(eps_grid)
     if 0 in eps_grid:
         raise InvalidConfigError("eps must be nonzero")
@@ -456,8 +464,8 @@ def exp_cycle(n, c, d, delta, reps, seed, threads=1):
     _check_size(n)
     if not (0.0 < delta < 1.0):
         raise InvalidConfigError("need 0 < delta < 1")
-    if d / n > 1.0:
-        raise InvalidConfigError("d/n exceeds 1")
+    _check_colours(c)
+    _check_probability(d / n)
     _check_probability((d - 1.0) / n)
     lengths = _run_reps(_rep_cycle, (n, c, d, delta), reps, seed, threads)
     target = (1.0 - delta) * min(n, c)

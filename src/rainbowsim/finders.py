@@ -19,7 +19,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .graphs import (ColouredGraph, EmptyCoreError, _climb, adjacency,
                      connected_components, core_forest_decomposition,
                      is_rainbow, subtree_sizes)
-from .models import as_generator, colour_uniform, sample_gnp
+from .models import (_check_colours, _check_probability, as_generator,
+                     colour_uniform, sample_gnp)
 
 
 class NotFoundError(RuntimeError):
@@ -707,8 +708,8 @@ def find_rainbow_cycle_weakly_super(n: int, c: int, epsilon: float, rng=None):
         raise InvalidEpsilonError("need 0 < epsilon < 1")
     if n < 1:
         raise InvalidEpsilonError("need n >= 1 to set p = (1+eps)/n")
-    if (1.0 + 2.0 * epsilon) / n > 1.0:
-        raise InvalidEpsilonError("p exceeds 1 at this (n, epsilon)")
+    _check_probability((1.0 + 2.0 * epsilon) / n)
+    _check_colours(c)
     gen = as_generator(rng)
     p1 = (1.0 + epsilon) / n
     g1 = colour_uniform(sample_gnp(n, p1, gen), c, gen)

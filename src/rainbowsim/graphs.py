@@ -1,6 +1,6 @@
 """Coloured-graph structures and the deterministic structural algorithms
 built on them: connected components, 2-core peeling, core/forest
-decomposition, bridge numbers and rainbow checks.
+decomposition, rooted-forest traversal and rainbow checks.
 
 Vertices are dense 0-based ids. Colours are 1-based integers in [1, c];
 colour 0 marks an uncoloured edge and is only legal when c == 0.
@@ -22,8 +22,8 @@ class EmptyCoreError(RuntimeError):
     """The 2-core needed by an operation is empty."""
 
 
-class EdgeNotInForestError(ValueError):
-    """The queried edge is not an oriented parent edge of the forest."""
+class InvalidRootCountError(ValueError):
+    """Root count outside 1..m."""
 
 
 def _as_index_array(a) -> np.ndarray:
@@ -37,6 +37,13 @@ def _check_counts(**counts) -> None:
         # bool is an Integral; np.bool_ is not
         if isinstance(x, bool) or not isinstance(x, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
+def _check_roots(m, t) -> None:
+    """Raise ValueError unless m and t are integers with 1 <= t <= m."""
+    _check_counts(m=m, t=t)
+    if not 1 <= t <= m:
+        raise InvalidRootCountError(f"need 1 <= t <= m, got t={t}, m={m}")
 
 
 def _check_arrays(n, c, u, v, colour) -> None:
@@ -270,8 +277,7 @@ class RootedForest:
 
     def check(self) -> None:
         """Validate all structural invariants; raises ValueError if broken."""
-        if not (1 <= self.t <= self.m):
-            raise ValueError("need 1 <= t <= m")
+        _check_roots(self.m, self.t)
         if len(self.parent) != self.m:
             raise ValueError("parent array has wrong length")
         if not (self.parent[: self.t] == -1).all():
@@ -364,14 +370,6 @@ def subtree_size_below(f: RootedForest, w: int, child_idx) -> int:
         kids = order[indptr[x + 1]:indptr[x + 2]]
         stack.extend(kids.tolist())
     return count
-
-
-def bridge_number(f: RootedForest, e) -> int:
-    """Number of vertices below the forest edge e = (v, w), v nearer the root."""
-    v, w = int(e[0]), int(e[1])
-    if not (0 <= w < f.m) or w < f.t or f.parent[w] != v:
-        raise EdgeNotInForestError(f"({v}, {w}) is not an oriented edge of the forest")
-    return subtree_size_below(f, w, children_index(f))
 
 
 def is_rainbow(g: ColouredGraph, edge_ids) -> bool:
@@ -526,8 +524,7 @@ def forest_from_line(line: str) -> RootedForest:
     if len(vals) < 2:
         raise ValueError("forest line needs an `m t` header")
     m, t = vals[0], vals[1]
-    if not (1 <= t <= m):
-        raise ValueError("need 1 <= t <= m")
+    _check_roots(m, t)
     if len(vals) - 2 != m - t:
         raise ValueError(f"forest line has {len(vals) - 2} parents, "
                          f"need m - t = {m - t}")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ColouredGraph, RootedForest, _check_counts
+# the root rule and its InvalidRootCountError live with RootedForest
+from .graphs import (ColouredGraph, InvalidRootCountError, RootedForest,
+                     _check_counts, _check_roots)
 
 
 class InvalidProbabilityError(ValueError):
@@ -25,8 +27,17 @@ class OddDegreeSumError(ValueError):
     """Degree sequence with odd sum cannot be paired."""
 
 
-class InvalidRootCountError(ValueError):
-    """Root count outside 1..m."""
+def _check_probability(p) -> None:
+    """Raise InvalidProbabilityError unless 0 <= p <= 1 (NaN is refused)."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidProbabilityError(f"edge probability {p} is outside [0, 1]")
+
+
+def _check_colours(c) -> None:
+    """Raise ValueError unless c is an integer colour count of at least 1."""
+    _check_counts(c=c)
+    if c < 1:
+        raise ValueError("need c >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
     Uses geometric gap skipping over the pair-index space, so the expected
     cost is O(n + p n^2) rather than Theta(n^2).
     """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidProbabilityError(f"p = {p} outside [0, 1]")
+    _check_probability(p)
     _check_counts(n=n)
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -119,9 +129,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
 
 def colour_uniform(g: ColouredGraph, c: int, rng=None) -> ColouredGraph:
     """Recolour every edge i.i.d. uniformly from [1, c], preserving edge order."""
-    _check_counts(c=c)
-    if c < 1:
-        raise ValueError("need c >= 1")
+    _check_colours(c)
     gen = as_generator(rng)
     cols = gen.integers(1, c + 1, size=g.m, dtype=np.int64)
     return ColouredGraph._trusted(g.n, c, g.u, g.v, cols, g.multigraph)
@@ -210,8 +218,7 @@ def sample_uniform_forest(m: int, t: int, rng=None) -> RootedForest:
     running loop-erased walks absorbed at the root set samples uniformly
     from all t * m^(m-t-1) of them.
     """
-    if not (1 <= t <= m):
-        raise InvalidRootCountError(f"need 1 <= t <= m, got t={t}, m={m}")
+    _check_roots(m, t)
     gen = as_generator(rng)
     parent = next(_iter_wilson_parents(m, t, gen, count=1))
     return RootedForest(m=m, t=t, parent=np.array(parent, dtype=np.int64))
@@ -232,8 +239,7 @@ class RootTreeSizeSampler:
     """
 
     def __init__(self, m: int, t: int):
-        if not (1 <= t <= m):
-            raise InvalidRootCountError(f"need 1 <= t <= m, got t={t}, m={m}")
+        _check_roots(m, t)
         self.m = m
         self.t = t
         if t == 1:

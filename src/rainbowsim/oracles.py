@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import ColouredGraph, RootedForest, forest_to_line, subtree_sizes
+from .graphs import ColouredGraph, RootedForest, _check_roots, subtree_sizes
 
 
 class TooLargeError(ValueError):
@@ -23,14 +23,12 @@ class TooLargeError(ValueError):
 @dataclass(frozen=True)
 class EnumerationResult:
     count: int
-    encodings: list
-    forests: list  # parent tuples, aligned with encodings
+    forests: list  # parent tuples
 
 
 def forest_count(m: int, t: int) -> int:
     """Closed-form number of forests on [m] rooted at 0..t-1: t * m^(m-t-1)."""
-    if not (1 <= t <= m):
-        raise ValueError("need 1 <= t <= m")
+    _check_roots(m, t)
     if m == t:
         return 1
     return t * m ** (m - t - 1)
@@ -66,25 +64,18 @@ def enumerate_forests(m: int, t: int) -> EnumerationResult:
 
     Guarded at m <= 8; the count must equal forest_count(m, t).
     """
-    if not (1 <= t <= m):
-        raise ValueError("need 1 <= t <= m")
+    _check_roots(m, t)
     if m > 8:
         raise TooLargeError("enumerate_forests is guarded at m <= 8")
     pairs = list(combinations(range(m), 2))
-    k = m - t
-    encodings = []
     forests = []
-    for edges in combinations(pairs, k):
+    for edges in combinations(pairs, m - t):
         parent = _orient(m, t, edges)
-        if parent is None:
-            continue
-        f = RootedForest(m=m, t=t, parent=np.array(parent, dtype=np.int64))
-        encodings.append(forest_to_line(f))
-        forests.append(tuple(parent))
-    if len(encodings) != forest_count(m, t):
+        if parent is not None:
+            forests.append(tuple(parent))
+    if len(forests) != forest_count(m, t):
         raise AssertionError("enumeration count disagrees with the closed form")
-    return EnumerationResult(count=len(encodings), encodings=encodings,
-                             forests=forests)
+    return EnumerationResult(count=len(forests), forests=forests)
 
 
 def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:

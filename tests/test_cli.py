@@ -142,6 +142,8 @@ def test_gen_config_model(tmp_path):
      "gen --model forest does not read --eps"),
     (["--model", "forest", "--m", "5", "--t", "1", "--d", "2"],
      "gen --model forest does not read --d"),
+    (["--model", "config", "--degrees", ""],
+     "gen --model config requires --degrees"),
 ])
 def test_gen_rejected_model_arguments_exit_64(tmp_path, capsys, flags, fragment):
     out = tmp_path / "out.txt"
@@ -383,7 +385,7 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
     (["experiment", "--suite", "giant", "--n", "0", "--reps", "1"],
      "argument --n: must be at least 1, got 0"),
     (["experiment", "--suite", "cycle", "--n", "10", "--reps", "1"],
-     "d/n exceeds 1"),
+     "edge probability 12.9 is outside [0, 1]"),
     (["experiment", "--suite", "min-split", "--n", "5", "--reps", "1"],
      "--n does not apply to suite 'min-split'"),
     (["experiment", "--suite", "bridge", "--n", "5", "--reps", "1"],
@@ -453,6 +455,9 @@ _GNP = ["--n", "60", "--c", "60", "--d", "3"]
     # faithful rbfs reads only eps^2, so a negative eps would run as |eps|
     (["find", "--finder", "rbfs", "--mode", "faithful", "--input", "path.edges",
       "--delta", "0.05", "--eps", "-0.1"], "need eps >= 0, got -0.1"),
+    # the cycle finder's probability comes from the one rule in models
+    (["find", "--finder", "cycle", "--n", "1", "--c", "5", "--eps", "0.5"],
+     "edge probability 2.0 is outside [0, 1]"),
 ])
 def test_refused_parameters_exit_64(tmp_path, monkeypatch, capsys, args,
                                     fragment):

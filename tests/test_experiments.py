@@ -21,7 +21,9 @@ from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     min_double_bridge_samples, raw_records,
                                     write_csv)
 from rainbowsim.graphs import RootedForest, connected_components, subtree_sizes
-from rainbowsim.models import RngStream, RootTreeSizeSampler
+from rainbowsim.finders import find_rainbow_cycle_weakly_super
+from rainbowsim.models import (InvalidProbabilityError, InvalidRootCountError,
+                               RngStream, RootTreeSizeSampler, sample_gnp)
 from rainbowsim.oracles import enumerate_forests
 
 
@@ -193,7 +195,7 @@ def test_phase_super_computes_components_once_per_repetition(monkeypatch):
 def test_cycle_guards():
     with pytest.raises(InvalidConfigError):
         exp_cycle(1000, 1000, 129.0, 1.0, 2, 1)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidProbabilityError):
         exp_cycle(100, 100, 129.0, 0.5, 2, 1)
 
 
@@ -461,31 +463,62 @@ def test_sized_suites_refuse_n_below_one(monkeypatch, run, kw, n):
         run(n=n, **kw, reps=2, seed=1)
 
 
-_OUTSIDE = r"edge probability .* is outside \[0, 1\]"
+_OUTSIDE = (InvalidProbabilityError, r"edge probability .* is outside \[0, 1\]")
 
 
-@pytest.mark.parametrize("run, args, message", [
-    (exp_min_split, ((4, 1), 10, 1), "min-split needs m >= 2"),
+@pytest.mark.parametrize("run, args, error", [
+    (exp_min_split, ((4, 1), 10, 1),
+     (InvalidConfigError, "min-split needs m >= 2")),
+    (exp_min_split, ((4.5,), 2, 1), (ValueError, "m must be an integer")),
+    (exp_bridge_number, (10, 0, 2, 1),
+     (InvalidRootCountError, "need 1 <= t <= m")),
+    (exp_min_double_bridge, ((10, 0), 200, 1),
+     (InvalidRootCountError, "need 1 <= t <= m")),
     (exp_phase_transition, (100, 100, (-0.1, 0.0), 2, 1),
-     "eps must be nonzero"),
+     (InvalidConfigError, "eps must be nonzero")),
+    (exp_phase_transition, (100, 0, (0.1,), 2, 1), (ValueError, "need c >= 1")),
+    (exp_phase_transition, (100, 2.5, (-0.1,), 2, 1),
+     (ValueError, "c must be an integer")),
     (exp_phase_transition, (1, 1, (0.1,), 2, 1), _OUTSIDE),
     (exp_phase_transition, (1, 1, (-0.1, 0.1), 2, 1), _OUTSIDE),
     (exp_phase_transition, (10, 10, (-0.1, -11.0), 2, 1), _OUTSIDE),
     (exp_phase_transition, (10, 10, (-0.1, float("nan")), 2, 1), _OUTSIDE),
     (exp_giant_benchmark, (1, 2.0, 2, 1), _OUTSIDE),
     (exp_giant_benchmark, (100, -1.0, 2, 1), _OUTSIDE),
+    (exp_giant_benchmark, (2.5, 2.0, 2, 1), (ValueError, "n must be an integer")),
     (exp_cycle, (100, 100, 0.5, 0.5, 2, 1), _OUTSIDE),
-], ids=["min-split-grid", "phase-grid", "phase-super", "phase-sub-then-super",
+    (exp_cycle, (200, 0, 129.0, 0.5, 2, 1), (ValueError, "need c >= 1")),
+], ids=["min-split-grid", "min-split-non-integer", "bridge-no-root",
+        "double-bridge-grid", "phase-grid", "phase-no-colour",
+        "phase-non-integer-c", "phase-super", "phase-sub-then-super",
         "phase-sub-negative", "phase-nan", "giant", "giant-negative",
-        "cycle-below-one"])
+        "giant-non-integer-n", "cycle-below-one", "cycle-no-colour"])
 def test_suites_check_grid_and_probabilities_before_any_repetition(
-        monkeypatch, run, args, message):
+        monkeypatch, run, args, error):
     def no_draw(*args, **kwargs):
         raise AssertionError("a repetition ran")
 
-    monkeypatch.setattr(experiments_module, "_run_reps", no_draw)
-    with pytest.raises(InvalidConfigError, match=message):
+    # the double-bridge suite draws from one stream per t, not by _run_reps
+    for name in ("_run_reps", "min_double_bridge_samples"):
+        monkeypatch.setattr(experiments_module, name, no_draw)
+    with pytest.raises(error[0], match=error[1]):
         run(*args)
+
+
+@pytest.mark.parametrize("call, p", [
+    (lambda: sample_gnp(10, 1.5, RngStream(1)), "1.5"),
+    (lambda: sample_gnp(10, -0.5, RngStream(1)), "-0.5"),
+    (lambda: sample_gnp(10, float("nan"), RngStream(1)), "nan"),
+    (lambda: exp_phase_transition(10, 10, (10.0,), 2, 1), "1.1"),
+    (lambda: exp_giant_benchmark(10, 20.0, 2, 1), "2.0"),
+    (lambda: exp_cycle(100, 100, 129.0, 0.5, 2, 1), "1.29"),
+    (lambda: find_rainbow_cycle_weakly_super(1, 5, 0.5, RngStream(1)), "2.0"),
+], ids=["gnp-above", "gnp-below", "gnp-nan", "phase", "giant", "cycle",
+        "cycle-finder"])
+def test_every_probability_entry_point_gives_the_one_refusal(call, p):
+    with pytest.raises(InvalidProbabilityError) as info:
+        call()
+    assert str(info.value) == f"edge probability {p} is outside [0, 1]"
 
 
 _KEY_SEEDS = [0, 1, 2024, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowsim import finders as finders_module
 from rainbowsim.finders import (ExplorationTrace, InvalidDeltaError,
                                 InvalidEpsilonError, NotFoundError,
                                 PipelineReport, check_cycle, close_cycle_edges,
@@ -1582,6 +1583,36 @@ def test_cycle_finder_rejects_bad_epsilon():
         find_rainbow_cycle_weakly_super(1000, 1000, 0.0, RngStream(1))
     with pytest.raises(InvalidEpsilonError):
         find_rainbow_cycle_weakly_super(1000, 1000, 1.0, RngStream(1))
+
+
+@pytest.mark.parametrize("c, message", [(0, "need c >= 1"),
+                                        (2.5, "c must be an integer")])
+def test_cycle_finder_checks_its_colour_count_before_sampling(monkeypatch, c,
+                                                              message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("G(n, p) was sampled")
+
+    monkeypatch.setattr(finders_module, "sample_gnp", no_draw)
+    with pytest.raises(ValueError, match=message):
+        find_rainbow_cycle_weakly_super(2000, c, 0.3, RngStream(1))
+
+
+_UNCOLOURED = ColouredGraph.from_edges(3, [(0, 1, 0), (1, 2, 0)])
+_PATH = ColouredGraph.from_edges(3, [(0, 1, 1), (1, 2, 2)], c=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: subcritical_rainbow_tree(_UNCOLOURED), "requires a coloured graph"),
+    (lambda: supercritical_rainbow_tree(_UNCOLOURED),
+     "requires a coloured graph"),
+    (lambda: rdfs_longest_path(_UNCOLOURED), "requires a coloured graph"),
+    (lambda: rbfs_forest(_UNCOLOURED), "requires a coloured graph"),
+    (lambda: rbfs_forest(_PATH, mode="fair"),
+     "mode must be 'faithful' or 'greedy'"),
+], ids=["sub", "super", "rdfs", "rbfs", "rbfs-mode"])
+def test_finders_refuse_uncoloured_graphs_and_unknown_modes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_cycle_finder_envelope():

@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowsim import graphs as graphs_module
-from rainbowsim.graphs import (ColouredGraph, EdgeNotInForestError,
-                               EmptyCoreError, RootedForest, _climb,
-                               _peel, adjacency, bridge_number,
-                               children_index, connected_components,
-                               core_forest_decomposition, forest_depths,
-                               forest_from_line, forest_to_line, is_rainbow,
-                               read_edgelist, subtree_sizes, two_core,
-                               write_edgelist)
-from rainbowsim.models import RngStream, colour_uniform, sample_configuration, \
-    sample_gnp, sample_uniform_forest, survival_probability
+from rainbowsim.graphs import (ColouredGraph, EmptyCoreError,
+                               InvalidRootCountError, RootedForest, _climb,
+                               _peel, adjacency, children_index,
+                               connected_components, core_forest_decomposition,
+                               forest_depths, forest_from_line, forest_to_line,
+                               is_rainbow, read_edgelist, subtree_size_below,
+                               subtree_sizes, two_core, write_edgelist)
+from rainbowsim.models import (RngStream, RootTreeSizeSampler, colour_uniform,
+                               sample_configuration, sample_gnp,
+                               sample_uniform_forest, survival_probability)
+from rainbowsim.oracles import enumerate_forests, forest_count
 
 
 # ---------------------------------------------------------------------------
@@ -730,16 +731,14 @@ def test_decomposition_matches_deque_bfs(seed, n, d, configuration):
 
 def test_bridge_number_path():
     f = RootedForest(m=3, t=1, parent=np.array([-1, 0, 1]))
-    assert bridge_number(f, (1, 2)) == 1
-    assert bridge_number(f, (0, 1)) == 2
-    with pytest.raises(EdgeNotInForestError):
-        bridge_number(f, (0, 2))
+    assert subtree_size_below(f, 2, children_index(f)) == 1
+    assert subtree_size_below(f, 1, children_index(f)) == 2
 
 
 def test_bridge_number_star():
     f = RootedForest(m=5, t=1, parent=np.array([-1, 0, 0, 0, 0]))
     for w in range(1, 5):
-        assert bridge_number(f, (0, w)) == 1
+        assert subtree_size_below(f, w, children_index(f)) == 1
 
 
 def test_bridge_number_against_component_recount():
@@ -752,8 +751,7 @@ def test_bridge_number_against_component_recount():
             continue
         f = sample_uniform_forest(m, t, gen)
         w = int(gen.integers(t, m))
-        v = int(f.parent[w])
-        got = bridge_number(f, (v, w))
+        got = subtree_size_below(f, w, children_index(f))
         edges = [(int(f.parent[x]), x) for x in range(t, m) if x != w]
         comps = bfs_components(m, [(a, b, 0) for a, b in edges])
         far = next(c for c in comps if w in c)
@@ -1053,3 +1051,60 @@ def test_public_constructor_accepts_numpy_integer_counts():
     g = ColouredGraph(np.int64(5), np.int64(2), [0, 1], [1, 4], [1, 2])
     assert g.n == 5 and g.c == 2
     assert connected_components(g).sizes.tolist() == [3, 0, 1, 1, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+_E0 = np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ColouredGraph(3, 0, [0], [1, 2], [0]),
+     "edge arrays must have equal length"),
+    (lambda: ColouredGraph(-1, 0, _E0, _E0, _E0), "must be non-negative"),
+    (lambda: ColouredGraph(3, -1, _E0, _E0, _E0), "must be non-negative"),
+    (lambda: RootedForest(m=3, t=1, parent=[-1, 0]).check(),
+     "parent array has wrong length"),
+    (lambda: RootedForest(m=3, t=2, parent=[-1, 0, 0]).check(),
+     "vertices 0..t-1 must be roots"),
+], ids=["unequal-lengths", "negative-n", "negative-c", "parent-length",
+        "non-root-below-t"])
+def test_graph_and_forest_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+_ROOT_RULE_CALLERS = {
+    "check": lambda m, t: RootedForest(m=m, t=t, parent=[-1] * 4).check(),
+    "forest_from_line": lambda m, t: forest_from_line(f"{m} {t}"),
+    "sample_uniform_forest": lambda m, t: sample_uniform_forest(
+        m, t, RngStream(1)),
+    "RootTreeSizeSampler": RootTreeSizeSampler,
+    "forest_count": forest_count,
+    "enumerate_forests": enumerate_forests,
+}
+_BAD_RANGE = [(4, 0), (4, 5), (-2, 1), (0, 0)]
+_BAD_TYPE = [(4.5, 1, "m must be an integer, got 4.5"),
+             (4, 1.0, "t must be an integer, got 1.0"),
+             (5, True, "t must be an integer, got True")]
+
+
+@pytest.mark.parametrize("caller", list(_ROOT_RULE_CALLERS))
+@pytest.mark.parametrize("m, t", _BAD_RANGE)
+def test_every_root_rule_caller_refuses_a_root_count_out_of_range(caller, m, t):
+    with pytest.raises(InvalidRootCountError) as info:
+        _ROOT_RULE_CALLERS[caller](m, t)
+    assert str(info.value) == f"need 1 <= t <= m, got t={t}, m={m}"
+
+
+# forest_from_line is left out: its grammar refuses `4.5` or `True` first
+@pytest.mark.parametrize("caller", [name for name in _ROOT_RULE_CALLERS
+                                    if name != "forest_from_line"])
+@pytest.mark.parametrize("m, t, message", _BAD_TYPE)
+def test_every_root_rule_caller_refuses_a_non_integer_count(caller, m, t,
+                                                            message):
+    with pytest.raises(ValueError) as info:
+        _ROOT_RULE_CALLERS[caller](m, t)
+    assert str(info.value) == message
+    assert not isinstance(info.value, InvalidRootCountError)

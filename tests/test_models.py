@@ -491,3 +491,20 @@ def test_bool_counts_are_refused_before_any_draw(flag):
     with pytest.raises(ValueError, match="c must be an integer"):
         colour_uniform(sample_gnp(6, 0.5, RngStream(2)), flag, gen)
     assert gen.random() == RngStream(1).generator().random()
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: colour_uniform(sample_gnp(4, 1.0, RngStream(1)), 0), "need c >= 1"),
+    (lambda: DegreeSequence([2, -2]), "degrees must be non-negative"),
+    (lambda: survival_probability(-1), "need d >= 0"),
+], ids=["colour-count", "negative-degree", "negative-mean"])
+def test_model_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_as_generator_reads_an_int_as_a_seed():
+    assert as_generator(5).random() == RngStream(5).generator().random()

@@ -27,7 +27,7 @@ def test_forest_counts_match_closed_form():
 
 def test_forest_encodings_distinct():
     res = enumerate_forests(5, 2)
-    assert len(set(res.encodings)) == res.count
+    assert len(set(res.forests)) == res.count
 
 
 def test_forest_enumeration_guard():
@@ -213,3 +213,12 @@ def test_max_rainbow_tree_matches_reference(g):
     got = exact_max_rainbow_tree(g)
     want = reference_exact_max_rainbow_tree(g)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_min_deleted_component_expectation(1), "need m >= 2"),
+    (lambda: borel_pmf(0), "need k >= 1"),
+], ids=["split-one-vertex", "borel-zero"])
+def test_oracle_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
