@@ -22,11 +22,11 @@ import numpy as np
 
 from . import experiments as exps
 from .experiments import ExperimentConfig, raw_records, write_csv
-from .finders import (EmptyCoreError, NotFoundError, find_rainbow_cycle_weakly_super,
+from .finders import (NotFoundError, find_rainbow_cycle_weakly_super,
                       rbfs_forest, rdfs_longest_path, subcritical_rainbow_tree,
                       supercritical_rainbow_tree)
-from .graphs import (connected_components, forest_to_line, read_edgelist,
-                     write_edgelist)
+from .graphs import (EmptyCoreError, connected_components, forest_to_line,
+                     read_edgelist, write_edgelist)
 from .models import (DegreeSequence, RngStream, colour_uniform,
                      sample_configuration, sample_gnp, sample_uniform_forest)
 

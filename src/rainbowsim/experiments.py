@@ -23,7 +23,7 @@ import numpy as np
 from .envelopes import ENVELOPES, ENVELOPES_VERSION
 from .finders import (NotFoundError, _sprinkle_round, _supercritical_tree,
                       rdfs_longest_path, subcritical_rainbow_tree)
-from .graphs import (EmptyCoreError, _check_counts, _check_roots,
+from .graphs import (EmptyCoreError, _check_count, _check_roots,
                      children_index, connected_components, subtree_size_below)
 from .models import (RngStream, RootTreeSizeSampler, _check_colours,
                      _check_probability, colour_uniform, sample_gnp,
@@ -74,8 +74,6 @@ class EnvelopeCheck:
 def _row(params, values, reference, formula) -> SummaryRow:
     """The mean and sample std of one value per repetition, as a row."""
     reps = len(values)
-    if reps < 1:
-        raise InvalidConfigError("need reps >= 1")
     mean = sum(values) / reps
     var = (sum((x - mean) ** 2 for x in values) / (reps - 1)
            if reps > 1 else 0.0)
@@ -85,9 +83,16 @@ def _row(params, values, reference, formula) -> SummaryRow:
 
 def _check_size(n) -> None:
     """A sized suite's p is a multiple of 1/n: it needs an integer n >= 1."""
-    _check_counts(n=n)
+    _check_count(n, "n")
     if n < 1:
         raise InvalidConfigError("need n >= 1")
+
+
+def _check_reps(reps) -> None:
+    """Every suite needs an integer count of repetitions, at least 1."""
+    _check_count(reps, "reps")
+    if reps < 1:
+        raise InvalidConfigError("need reps >= 1")
 
 
 def _share_check(name, good, reps, required, what) -> EnvelopeCheck:
@@ -176,6 +181,7 @@ def _run_reps(fn, params, reps, seed, threads=1):
     a Philox. Runs in at most ``threads`` worker processes, and in no more
     than there are repetitions or cores.
     """
+    _check_reps(reps)
     # the single-stream samplers (min_double_bridge_samples, exp_tree_size_law)
     # keep one generator for every draw: their draw sequences are defined so
     keys = chain.from_iterable(
@@ -296,6 +302,7 @@ def _check_edge_pair(m, t) -> None:
 def min_double_bridge_samples(m, t, reps, seed, stream=0):
     """Monte Carlo draws of min of the two bridge numbers of distinct edges."""
     _check_edge_pair(m, t)
+    _check_reps(reps)
     gen = RngStream(seed, stream).generator()
     sampler = _PairSizeSampler(m, t)
     return [sampler.draw(gen) for _ in range(reps)]
@@ -327,8 +334,7 @@ def exp_min_double_bridge(t_grid, reps, seed):
 def exp_tree_size_law(m, t, reps, seed):
     """Empirical root-tree-size pmf at k = 1..5 against the Borel point masses."""
     from .oracles import borel_pmf
-    if reps < 1:
-        raise InvalidConfigError("need reps >= 1")
+    _check_reps(reps)
     gen = RngStream(seed, 0).generator()
     sampler = RootTreeSizeSampler(m, t)
     counts = Counter(sampler.sample(gen) for _ in range(reps))

@@ -30,18 +30,20 @@ def _as_index_array(a) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.int64))
 
 
-def _check_counts(**counts) -> None:
-    """Raise ValueError unless every count is an integer; numpy integers
+def _check_count(x, name) -> None:
+    """Raise ValueError unless the count x is an integer; numpy integers
     pass, floats such as 3.0 and bools do not."""
-    for name, x in counts.items():
-        # bool is an Integral; np.bool_ is not
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {x!r}")
+    if type(x) is int:
+        return  # the common case, without the ABC check
+    # bool is an Integral; np.bool_ is not
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def _check_roots(m, t) -> None:
     """Raise ValueError unless m and t are integers with 1 <= t <= m."""
-    _check_counts(m=m, t=t)
+    _check_count(m, "m")
+    _check_count(t, "t")
     if not 1 <= t <= m:
         raise InvalidRootCountError(f"need 1 <= t <= m, got t={t}, m={m}")
 
@@ -51,7 +53,8 @@ def _check_arrays(n, c, u, v, colour) -> None:
     vertices with colours valid for c."""
     if not (len(u) == len(v) == len(colour)):
         raise ValueError("edge arrays must have equal length")
-    _check_counts(n=n, c=c)
+    _check_count(n, "n")
+    _check_count(c, "c")
     if n < 0 or c < 0:
         raise ValueError("n and c must be non-negative")
     if len(u):
@@ -133,9 +136,6 @@ class ColouredGraph:
         edges = list(edges)
         u, v, col = zip(*edges) if edges else ((), (), ())
         return cls(n=n, c=c, u=u, v=v, colour=col, multigraph=multigraph)
-
-    def edge_list(self):
-        return list(zip(self.u.tolist(), self.v.tolist(), self.colour.tolist()))
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees; loops count twice."""
@@ -383,16 +383,14 @@ class CoreDecomposition:
     """2-core of the giant+unicyclic region plus the forest hanging off it.
 
     The forest is relabelled: core vertices become local ids 0..t-1 (sorted
-    by global id), remaining vertices follow in global-id order.
-    ``forest_labels`` maps local ids back to global vertex ids and
-    ``forest_edge_ids[w]`` is the original edge index of the parent edge of
-    local non-root w (-1 for roots).
+    by global id), remaining vertices of the region follow in global-id
+    order. ``forest_edge_ids[w]`` is the original edge index of the parent
+    edge of local non-root w (-1 for roots).
     """
 
     core_vertices: np.ndarray
     core_edges: np.ndarray
     forest: RootedForest
-    forest_labels: np.ndarray
     forest_edge_ids: np.ndarray
 
 
@@ -448,9 +446,7 @@ def core_forest_decomposition(g: ColouredGraph, giant, unicyclic) -> CoreDecompo
     forest = RootedForest(m=m, t=t, parent=parent)
     return CoreDecomposition(core_vertices=s_verts[core],
                              core_edges=s_edges[emask],
-                             forest=forest,
-                             forest_labels=s_verts[np.concatenate([core, non_core])],
-                             forest_edge_ids=edge_ids)
+                             forest=forest, forest_edge_ids=edge_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the root rule and its InvalidRootCountError live with RootedForest
-from .graphs import (ColouredGraph, InvalidRootCountError, RootedForest,
-                     _check_counts, _check_roots)
+from .graphs import ColouredGraph, RootedForest, _check_count, _check_roots
 
 
 class InvalidProbabilityError(ValueError):
@@ -35,7 +33,7 @@ def _check_probability(p) -> None:
 
 def _check_colours(c) -> None:
     """Raise ValueError unless c is an integer colour count of at least 1."""
-    _check_counts(c=c)
+    _check_count(c, "c")
     if c < 1:
         raise ValueError("need c >= 1")
 
@@ -102,7 +100,7 @@ def sample_gnp(n: int, p: float, rng=None) -> ColouredGraph:
     cost is O(n + p n^2) rather than Theta(n^2).
     """
     _check_probability(p)
-    _check_counts(n=n)
+    _check_count(n, "n")
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     gen = as_generator(rng)

@@ -7,7 +7,6 @@ point masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,12 +17,6 @@ from .graphs import ColouredGraph, RootedForest, _check_roots, subtree_sizes
 
 class TooLargeError(ValueError):
     """Instance exceeds the exhaustive-search guard."""
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    count: int
-    forests: list  # parent tuples
 
 
 def forest_count(m: int, t: int) -> int:
@@ -59,8 +52,9 @@ def _orient(m, t, edge_set):
     return parent
 
 
-def enumerate_forests(m: int, t: int) -> EnumerationResult:
-    """All forests on [m] with root set 0..t-1, by filtered edge-subset search.
+def enumerate_forests(m: int, t: int) -> list:
+    """All forests on [m] with root set 0..t-1, as parent tuples, by
+    filtered edge-subset search.
 
     Guarded at m <= 8; the count must equal forest_count(m, t).
     """
@@ -75,7 +69,7 @@ def enumerate_forests(m: int, t: int) -> EnumerationResult:
             forests.append(tuple(parent))
     if len(forests) != forest_count(m, t):
         raise AssertionError("enumeration count disagrees with the closed form")
-    return EnumerationResult(count=len(forests), forests=forests)
+    return forests
 
 
 def exact_max_rainbow_tree(g: ColouredGraph) -> np.ndarray:
@@ -143,14 +137,14 @@ def exact_min_deleted_component_expectation(m: int) -> float:
         raise ValueError("need m >= 2")
     if m > 7:
         raise TooLargeError("guarded at m <= 7")
-    res = enumerate_forests(m, 1)
+    forests = enumerate_forests(m, 1)
     total = 0
-    for parent in res.forests:
+    for parent in forests:
         f = RootedForest(m=m, t=1, parent=np.array(parent, dtype=np.int64))
         below = subtree_sizes(f)[1:]
         total += int(np.minimum(below, m - below).sum())
     # every tree has m - 1 edges
-    return float(Fraction(total, res.count * (m - 1)))
+    return float(Fraction(total, len(forests) * (m - 1)))
 
 
 def borel_pmf(k: int) -> float:

@@ -52,7 +52,7 @@ def test_criterion_01_forest_counting():
     bad = []
     for m in range(1, 7):
         for t in range(1, m + 1):
-            got = enumerate_forests(m, t).count
+            got = len(enumerate_forests(m, t))
             want = forest_count(m, t)
             if got != want:
                 bad.append((m, t, got, want))
@@ -62,7 +62,7 @@ def test_criterion_01_forest_counting():
 def test_criterion_02_sampler_uniformity():
     results = []
     for idx, (m, t) in enumerate([(4, 1), (4, 2), (5, 2)]):
-        support = {f: i for i, f in enumerate(enumerate_forests(m, t).forests)}
+        support = {f: i for i, f in enumerate(enumerate_forests(m, t))}
         counts = [0] * len(support)
         gen = RngStream(SEED, idx).generator()
         for _ in range(10 ** 6):
@@ -113,10 +113,10 @@ def test_criterion_04_min_split_scaling():
 def test_criterion_05_bridge_number_bound():
     rows, checks = exp_bridge_number(1000, 50, 10 ** 4, SEED)
     big_ok = all(c.passed for c in checks)
-    res = enumerate_forests(5, 2)
+    forests = enumerate_forests(5, 2)
     from rainbowsim.graphs import RootedForest, subtree_sizes
     total = count = 0
-    for par in res.forests:
+    for par in forests:
         sizes = subtree_sizes(RootedForest(m=5, t=2, parent=np.array(par)))
         for w in range(2, 5):
             total += int(sizes[w])

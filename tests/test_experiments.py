@@ -20,10 +20,11 @@ from rainbowsim.experiments import (EnvelopeCheck, ExperimentConfig,
                                     exp_tree_size_law,
                                     min_double_bridge_samples, raw_records,
                                     write_csv)
-from rainbowsim.graphs import RootedForest, connected_components, subtree_sizes
+from rainbowsim.graphs import (InvalidRootCountError, RootedForest,
+                               connected_components, subtree_sizes)
 from rainbowsim.finders import find_rainbow_cycle_weakly_super
-from rainbowsim.models import (InvalidProbabilityError, InvalidRootCountError,
-                               RngStream, RootTreeSizeSampler, sample_gnp)
+from rainbowsim.models import (InvalidProbabilityError, RngStream,
+                               RootTreeSizeSampler, sample_gnp)
 from rainbowsim.oracles import enumerate_forests
 
 
@@ -57,10 +58,10 @@ def test_bridge_single_nonroot_vertex():
 
 
 def test_bridge_5_2_matches_enumeration():
-    res = enumerate_forests(5, 2)
+    forests = enumerate_forests(5, 2)
     total = 0
     count = 0
-    for par in res.forests:
+    for par in forests:
         f = RootedForest(m=5, t=2, parent=np.array(par))
         sizes = subtree_sizes(f)
         for w in range(2, 5):
@@ -87,10 +88,10 @@ def test_double_bridge_guard_needs_two_edges():
 
 def test_double_bridge_5_2_matches_enumeration():
     # exact mean of min(B_e, B_e') over all forests and distinct edge pairs
-    res = enumerate_forests(5, 2)
+    forests = enumerate_forests(5, 2)
     total = 0
     count = 0
-    for par in res.forests:
+    for par in forests:
         f = RootedForest(m=5, t=2, parent=np.array(par))
         sizes = subtree_sizes(f)
         ws = [2, 3, 4]
@@ -441,6 +442,22 @@ _ZERO_REPS = [
 def test_suites_refuse_zero_reps(run, kw):
     with pytest.raises(InvalidConfigError, match="need reps >= 1"):
         run(**kw, reps=0, seed=1)
+
+
+@pytest.mark.parametrize("reps", [2.5, True])
+@pytest.mark.parametrize("run, kw", _ZERO_REPS,
+                         ids=[run.__name__ for run, _ in _ZERO_REPS])
+def test_suites_refuse_non_integer_reps(monkeypatch, run, kw, reps):
+    # refused before any draw: no generator is made or reset
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a repetition drew")
+
+    monkeypatch.setattr(experiments_module, "_rep_job", no_draw)
+    monkeypatch.setattr(RngStream, "generator", no_draw)
+    with pytest.raises(ValueError) as info:
+        run(**kw, reps=reps, seed=1)
+    assert str(info.value) == f"reps must be an integer, got {reps!r}"
+    assert not isinstance(info.value, InvalidConfigError)
 
 
 _SIZED = [

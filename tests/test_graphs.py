@@ -2,6 +2,7 @@ import os
 import threading
 import warnings
 from collections import deque
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -25,6 +26,11 @@ from rainbowsim.oracles import enumerate_forests, forest_count
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+def edge_triples(g):
+    """The (u, v, colour) triples of g, in edge order."""
+    return list(zip(g.u.tolist(), g.v.tolist(), g.colour.tolist()))
+
 
 def bfs_components(n, edges):
     """Plain adjacency-dict BFS, independent of the library implementation."""
@@ -55,7 +61,7 @@ def brute_force_two_core(g):
     """Union of all vertex subsets inducing min degree >= 2 (n <= 10)."""
     from itertools import combinations
     best = set()
-    edges = g.edge_list()
+    edges = edge_triples(g)
     for k in range(2, g.n + 1):
         for subset in combinations(range(g.n), k):
             s = set(subset)
@@ -150,7 +156,7 @@ def test_read_edgelist_detects_multigraphs(tmp_path, edges, multi):
     path = _write_raw_edgelist(tmp_path / "g.edges", 3, 3, edges)
     g = read_edgelist(path)
     assert g.multigraph is multi
-    assert g.edge_list() == edges
+    assert edge_triples(g) == edges
 
 
 @pytest.mark.parametrize("body", [
@@ -167,7 +173,7 @@ def test_read_edgelist_whitespace_grammar(tmp_path, body):
         warnings.simplefilter("error")
         g = read_edgelist(path)
     assert (g.n, g.c, g.multigraph) == (3, 2, False)
-    assert g.edge_list() == [(0, 1, 1), (1, 2, 2)]
+    assert edge_triples(g) == [(0, 1, 1), (1, 2, 2)]
     for a in (g.u, g.v, g.colour):
         assert a.dtype == np.int64 and a.flags.c_contiguous
 
@@ -217,7 +223,7 @@ def test_read_edgelist_rejects_float_fields_whatever_the_filters(tmp_path, field
         with pytest.raises(ValueError, match="could not convert"):
             read_edgelist(path)
         g = _write_raw_edgelist(tmp_path / "ok.edges", 3, 2, [(0, 1, 1)])
-        assert read_edgelist(g).edge_list() == [(0, 1, 1)]
+        assert edge_triples(read_edgelist(g)) == [(0, 1, 1)]
 
 
 def test_builders_without_validation_output_valid_graphs():
@@ -332,7 +338,7 @@ def test_components_path_plus_isolated():
 def test_components_match_independent_bfs():
     g = sample_gnp(1000, 2 / 1000, RngStream(101))
     part = connected_components(g)
-    oracle = bfs_components(1000, g.edge_list())
+    oracle = bfs_components(1000, edge_triples(g))
     mine = {}
     for v, lab in enumerate(part.labels.tolist()):
         mine.setdefault(lab, []).append(v)
@@ -474,7 +480,7 @@ def test_two_core_of_cycle_is_itself():
     edges = [(i, (i + 1) % 5, i + 1) for i in range(5)]
     g = ColouredGraph.from_edges(5, edges, c=5)
     core = two_core(g)
-    assert sorted(core.edge_list()) == sorted(edges)
+    assert sorted(edge_triples(core)) == sorted(edges)
 
 
 def test_two_core_cycle_with_pendant_path():
@@ -527,7 +533,7 @@ def test_two_core_matches_networkx(g):
     assert set(np.flatnonzero(vmask).tolist()) == verts
     assert set(np.flatnonzero(emask).tolist()) == edges
     core = two_core(g)
-    assert core.edge_list() == [g.edge_list()[e] for e in sorted(edges)]
+    assert edge_triples(core) == [edge_triples(g)[e] for e in sorted(edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +546,10 @@ def test_decomposition_triangle_with_pendant():
     dec = core_forest_decomposition(g, giant, np.array([], dtype=np.int64))
     assert dec.core_vertices.tolist() == [0, 1, 2]
     assert dec.forest.m == 4 and dec.forest.t == 3
-    w = 3  # the single non-root, globally vertex 3
-    assert dec.forest_labels[w] == 3
-    assert dec.forest_labels[dec.forest.parent[w]] == 2  # rooted at vertex 2
+    w = 3  # the single non-root, globally vertex 3, rooted at vertex 2
+    assert dec.forest.parent[w] == 2
+    e = dec.forest_edge_ids[w]
+    assert sorted((g.u[e], g.v[e])) == [2, 3]
 
 
 def test_decomposition_pure_cycle_gives_isolated_roots():
@@ -581,9 +588,12 @@ def test_decomposition_keeps_other_cores_out():
     dec = core_forest_decomposition(g, giant, uni)
     assert dec.core_vertices.tolist() == [0, 1, 2, 3, 11, 12, 13]
     assert dec.core_edges.tolist() == [0, 1, 2, 3, 4, 5, 14, 15, 16]
-    assert dec.forest_labels.tolist() == [0, 1, 2, 3, 11, 12, 13, 4, 5, 14]
     assert dec.forest.parent.tolist() == [-1] * 7 + [3, 7, 6]
     assert dec.forest_edge_ids.tolist() == [-1] * 7 + [6, 7, 17]
+    # local ids: the core, then 4, 5 and 14; each parent edge joins a
+    # non-root to its parent in global ids
+    ends = [sorted((g.u[e], g.v[e])) for e in dec.forest_edge_ids[7:]]
+    assert ends == [[3, 4], [4, 5], [13, 14]]
     # the bowtie's own 2-core is all of it
     assert two_core(g).m == 15
 
@@ -655,8 +665,7 @@ def deque_bfs_decomposition(g, giant, unicyclic):
     over the forest edges from the core vertices, after a peel of the whole
     graph of which it takes only the masks (not _peel's up/up_edge).
 
-    Returns (parent, forest_edge_ids, forest_labels, core_vertices,
-    core_edges).
+    Returns (parent, forest_edge_ids, core_vertices, core_edges).
     """
     in_s = np.zeros(g.n, dtype=bool)
     in_s[giant] = True
@@ -675,7 +684,6 @@ def deque_bfs_decomposition(g, giant, unicyclic):
     local = np.full(g.n, -1, dtype=np.int64)
     local[core_verts] = np.arange(t)
     local[non_core] = t + np.arange(non_core.size)
-    labels = np.concatenate([core_verts, non_core])
     sub = ColouredGraph(n=g.n, c=0, u=g.u[forest_edges], v=g.v[forest_edges],
                         colour=np.zeros(forest_edges.size, np.int64),
                         multigraph=True)
@@ -694,7 +702,7 @@ def deque_bfs_decomposition(g, giant, unicyclic):
                 edge_ids[local[y]] = forest_edges[eid[p]]
                 queue.append(y)
     assert seen[s_verts].all()
-    return parent, edge_ids, labels, core_verts, core_edges
+    return parent, edge_ids, core_verts, core_edges
 
 
 @settings(max_examples=200, deadline=None)
@@ -719,8 +727,8 @@ def test_decomposition_matches_deque_bfs(seed, n, d, configuration):
             core_forest_decomposition(g, giant, uni)
         return
     dec = core_forest_decomposition(g, giant, uni)
-    got = (dec.forest.parent, dec.forest_edge_ids, dec.forest_labels,
-           dec.core_vertices, dec.core_edges)
+    got = (dec.forest.parent, dec.forest_edge_ids, dec.core_vertices,
+           dec.core_edges)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
@@ -922,7 +930,7 @@ def test_edgelist_roundtrip_bytes(tmp_path):
     g2 = read_edgelist(p1)
     write_edgelist(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert g2.n == g.n and g2.c == g.c and g2.edge_list() == g.edge_list()
+    assert g2.n == g.n and g2.c == g.c and edge_triples(g2) == edge_triples(g)
 
 
 def reference_write_edgelist(g, path):
@@ -998,7 +1006,7 @@ def test_edgelist_multigraph_detection(tmp_path):
     write_edgelist(g, path)
     g2 = read_edgelist(path)
     assert g2.multigraph
-    assert g2.edge_list() == g.edge_list()
+    assert edge_triples(g2) == edge_triples(g)
 
 
 def test_forest_line_accepts_signs():
@@ -1040,6 +1048,7 @@ def test_forest_from_line_rejects(line, message):
     (3.0, 0, "n must be an integer"),
     (3, 1.5, "c must be an integer"),
     (3, 3.0, "c must be an integer"),
+    (2.5, 1.5, "n must be an integer"),  # n before c
 ])
 def test_public_constructor_refuses_non_integer_counts(n, c, message):
     e = np.zeros(0, dtype=np.int64)
@@ -1047,10 +1056,16 @@ def test_public_constructor_refuses_non_integer_counts(n, c, message):
         ColouredGraph(n, c, e, e, e)
 
 
+class _Count(int):
+    """An int subclass: the count rule's shortcut takes exact ints only."""
+
+
 def test_public_constructor_accepts_numpy_integer_counts():
     g = ColouredGraph(np.int64(5), np.int64(2), [0, 1], [1, 4], [1, 2])
     assert g.n == 5 and g.c == 2
     assert connected_components(g).sizes.tolist() == [3, 0, 1, 1, 0, 0]
+    g = ColouredGraph(_Count(5), np.int8(2), [0, 1], [1, 4], [1, 2])
+    assert g.n == 5 and g.c == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1102,11 @@ _ROOT_RULE_CALLERS = {
 _BAD_RANGE = [(4, 0), (4, 5), (-2, 1), (0, 0)]
 _BAD_TYPE = [(4.5, 1, "m must be an integer, got 4.5"),
              (4, 1.0, "t must be an integer, got 1.0"),
-             (5, True, "t must be an integer, got True")]
+             (5, True, "t must be an integer, got True"),
+             (3.0, 1, "m must be an integer, got 3.0"),
+             (4, np.bool_(True), "t must be an integer, got np.True_"),
+             (4, Fraction(3), "t must be an integer, got Fraction(3, 1)"),
+             (4.5, 1.0, "m must be an integer, got 4.5")]  # m before t
 
 
 @pytest.mark.parametrize("caller", list(_ROOT_RULE_CALLERS))
@@ -1108,3 +1127,13 @@ def test_every_root_rule_caller_refuses_a_non_integer_count(caller, m, t,
         _ROOT_RULE_CALLERS[caller](m, t)
     assert str(info.value) == message
     assert not isinstance(info.value, InvalidRootCountError)
+
+
+# forest_from_line is left out: it hands the rule the ints it parsed
+@pytest.mark.parametrize("caller", [name for name in _ROOT_RULE_CALLERS
+                                    if name != "forest_from_line"])
+@pytest.mark.parametrize("m, t", [(_Count(4), np.int8(4)),
+                                  (np.int8(4), _Count(4))],
+                         ids=["subclass-int8", "int8-subclass"])
+def test_every_root_rule_caller_accepts_integer_types(caller, m, t):
+    _ROOT_RULE_CALLERS[caller](m, t)
