@@ -613,14 +613,6 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     w = min(w, path.size // 2)
     first, last = path[:w], path[path.size - w:]
     used = np.array(_path_colours(g1, path), dtype=np.int64)
-    # a candidate joins two window vertices, so only g1 edges inside the
-    # windows can rule one out
-    window = np.zeros(g1.n, dtype=bool)
-    window[first] = True
-    window[last] = True
-    inside = window[g1.u] & window[g1.v]
-    u, v = g1.u[inside], g1.v[inside]
-    in_g1 = np.minimum(u, v) * g1.n + np.maximum(u, v)
 
     a, b, colour = np.asarray(g2_edges, dtype=np.int64).reshape(-1, 3).T
     # +1 in the first window, -1 in the last, 0 in neither: the windows
@@ -628,6 +620,14 @@ def sprinkle_close_cycle(g1: ColouredGraph, path, g2_edges, delta: float):
     side_a = np.isin(a, first).astype(np.int8) - np.isin(a, last)
     side_b = np.isin(b, first).astype(np.int8) - np.isin(b, last)
     ok = np.flatnonzero((side_a * side_b == -1) & ~np.isin(colour, used))
+    # a g1 edge rules a candidate out only by joining its two ends, so only
+    # g1 edges between candidate ends can
+    ends = np.zeros(g1.n, dtype=bool)
+    ends[a[ok]] = True
+    ends[b[ok]] = True
+    between = ends[g1.u] & ends[g1.v]
+    u, v = g1.u[between], g1.v[between]
+    in_g1 = np.minimum(u, v) * g1.n + np.maximum(u, v)
     # both ends of a candidate are path vertices, so its key is in range
     key = np.minimum(a[ok], b[ok]) * g1.n + np.maximum(a[ok], b[ok])
     ok = ok[~np.isin(key, in_g1)]

@@ -161,6 +161,52 @@ def sample_configuration(d, rng=None) -> ColouredGraph:
 # uniform rooted forests
 
 _WILSON_SLICE = 256  # draws converted to Python ints at a time
+_LONG_WALK = 256     # expected first-walk length (m - 1)/t that goes to numpy
+
+
+def _first_walk(m: int, t: int, gen, chunk: int, draws, pos: int,
+                parent: list, in_forest: bytearray):
+    """Run the first loop-erased walk of a forest, from vertex t, in numpy.
+
+    Reads the draws the scalar walk would read, from ``draws[pos]`` on,
+    and draws the next chunk at the moment the scalar walk would. Only the
+    loop-erased path gets its ``parent`` and ``in_forest`` entries; an
+    erased vertex is rewritten by the later walk that attaches it.
+    Returns the chunk being read and the position of its next unread draw.
+    """
+    # until the forest grows, a step from u >= t lands on a root exactly
+    # when its raw draw is below t
+    pieces = []
+    while True:
+        if pos == chunk:
+            draws = gen.integers(0, m - 1, size=chunk)
+            pos = 0
+        hit = draws[pos:] < t
+        k = int(hit.argmax())
+        if hit[k]:
+            pieces.append(draws[pos:pos + k + 1])
+            pos += k + 1
+            break
+        pieces.append(draws[pos:])
+        pos = chunk
+    r = np.concatenate(pieces)
+    # step k goes to x_k = r_k + (r_k >= x_{k-1}), x_{-1} = t. Since x_{k-1}
+    # is r_{k-1} or r_{k-1} + 1, comparing with r_{k-1} differs only where
+    # r_k == r_{k-1}; those steps are fixed in order
+    x = r + (r >= np.concatenate(([t], r[:-1])))
+    for k in np.flatnonzero(r[1:] == r[:-1]).tolist():
+        x[k + 1] = r[k + 1] + (r[k + 1] >= x[k])
+    # the step taken from a vertex for the last time is its loop-erased
+    # successor
+    last = np.zeros(m, dtype=np.int64)
+    np.maximum.at(last, np.concatenate(([t], x[:-1])), np.arange(x.size))
+    u = t
+    while u >= t:
+        v = x.item(last.item(u))
+        parent[u] = v
+        in_forest[u] = 1
+        u = v
+    return draws, pos
 
 
 def _iter_wilson_parents(m: int, t: int, gen, count: int):
@@ -174,10 +220,14 @@ def _iter_wilson_parents(m: int, t: int, gen, count: int):
     overhead. The buffer is drawn whole, ``chunk`` values at a time, when
     the walk first needs a value past its end, and it is converted to
     Python ints one ``_WILSON_SLICE`` at a time as the walk reaches them:
-    a single forest reads only part of its chunk.
+    a single forest reads only part of its chunk. When the first walk is
+    expected to take at least ``_LONG_WALK`` steps, ``_first_walk`` runs it
+    in numpy on the same draws.
     """
     chunk = min(1 << 15, max(64, 4 * m))  # fixes the draw sequence
     hi = m - 1
+    # int(): m and t may be narrow numpy integers, and 256 t would overflow
+    long_first = int(hi) >= _LONG_WALK * int(t)
     draws = None
     nxt = chunk                     # where the next slice of draws starts
     buf: list = []                  # the slice being read, as Python ints
@@ -185,6 +235,10 @@ def _iter_wilson_parents(m: int, t: int, gen, count: int):
     for _ in range(count):
         parent = [-1] * m
         in_forest = bytearray([1]) * t + bytearray(m - t)
+        if long_first:
+            draws, nxt = _first_walk(m, t, gen, chunk, draws,
+                                     nxt - (end - ptr), parent, in_forest)
+            ptr = end = 0
         for i in range(t, m):
             u = i
             while not in_forest[u]:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
+from rainbowsim import models
 from rainbowsim.graphs import ColouredGraph, InvalidRootCountError
 from rainbowsim.models import (DegreeSequence, InvalidProbabilityError,
                                OddDegreeSumError, RngStream,
@@ -233,11 +234,15 @@ def chunk_tolist_iter_wilson_parents(m: int, t: int, gen, count: int):
 
 
 # chunks of 64 (m <= 16), of 256 = one slice (m = 64), of one slice and 4
-# draws (m = 65), of several slices, and at the 32768 cap (m >= 8192)
+# draws (m = 65), of several slices, and at the 32768 cap (m >= 8192); the
+# first walk goes to numpy from m - 1 = 256 t on: (256, 1) and (2048, 8)
+# stay scalar, (257, 1) and (2049, 8) do not; at m = 257 most first walks
+# repeat a draw, and at (300, 1, 200) some first walks cross a chunk end
 _WILSON_CASES = [(1, 1, 50), (2, 1, 400), (4, 1, 300), (6, 3, 300),
                  (16, 1, 100), (64, 1, 40), (65, 1, 40), (100, 7, 20),
-                 (1000, 50, 12), (1600, 1, 3), (8192, 1, 2), (9000, 3, 3),
-                 (20000, 1, 1)]
+                 (256, 1, 40), (257, 1, 60), (300, 1, 200), (1000, 50, 12),
+                 (1600, 1, 3), (2048, 8, 4), (2049, 8, 4), (8192, 1, 2),
+                 (9000, 3, 3), (20000, 1, 1)]
 
 
 @pytest.mark.parametrize("m, t, count", _WILSON_CASES)
@@ -256,6 +261,77 @@ def test_wilson_draws_match_chunk_tolist_reference(m, t, count):
             assert got == next(chunk_tolist_iter_wilson_parents(
                 m, t, want_gen, 1))
             assert got_gen.random() == want_gen.random()
+
+
+class _RecordingGen:
+    """A generator that keeps every draw chunk it hands out."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.chunks = []
+
+    def integers(self, *args, **kwargs):
+        self.chunks.append(self.gen.integers(*args, **kwargs))
+        return self.chunks[-1]
+
+
+def _first_walk_draws(monkeypatch, m, t, count):
+    """The raw draws each numpy first walk read, and whether it crossed a
+    chunk end, spied on one bulk run."""
+    walks = []
+    first_walk = models._first_walk
+
+    def spy(m, t, gen, chunk, draws, pos, parent, in_forest):
+        before = len(gen.chunks)
+        draws_out, pos_out = first_walk(m, t, gen, chunk, draws, pos,
+                                        parent, in_forest)
+        new = gen.chunks[before:]
+        if not new:
+            walks.append((draws[pos:pos_out], False))
+        else:
+            read = ([draws[pos:]] if pos < chunk else []) + new[:-1]
+            walks.append((np.concatenate(read + [new[-1][:pos_out]]),
+                          len(read) > 0))
+        return draws_out, pos_out
+
+    monkeypatch.setattr(models, "_first_walk", spy)
+    gen = _RecordingGen(RngStream(4600 + m, 0).generator())
+    assert len(list(_iter_wilson_parents(m, t, gen, count))) == count
+    assert len(walks) == count
+    for r, _ in walks:
+        # a first walk ends at its first draw below t
+        assert r[-1] < t and (r[:-1] >= t).all()
+    return walks
+
+
+def test_wilson_first_walk_crosses_chunk_ends(monkeypatch):
+    walks = _first_walk_draws(monkeypatch, 300, 1, 200)
+    assert any(crossed for _, crossed in walks)
+
+
+def test_wilson_first_walk_repeats_draws(monkeypatch):
+    # a repeated draw r_k == r_(k-1) is the step whose vertex numpy fixes
+    # in order; at m = 257 most first walks take one
+    walks = _first_walk_draws(monkeypatch, 257, 1, 60)
+    assert 2 * sum((r[1:] == r[:-1]).any() for r, _ in walks) > len(walks)
+
+
+def test_wilson_first_walk_takes_narrow_numpy_counts():
+    # 256 t overflows an int8 t; the forest is the one Python ints give
+    for m, t in [(np.int16(300), np.int8(1)), (np.int16(2049), np.int8(8))]:
+        got = sample_uniform_forest(m, t, RngStream(7)).parent.tolist()
+        assert got == sample_uniform_forest(int(m), int(t),
+                                            RngStream(7)).parent.tolist()
+
+
+def test_wilson_first_walk_stays_scalar_below_the_switch(monkeypatch):
+    def fail(*args):
+        raise AssertionError("numpy first walk below the switch")
+
+    monkeypatch.setattr(models, "_first_walk", fail)
+    for m, t in [(4, 1), (256, 1), (1000, 50), (2048, 8)]:
+        list(_iter_wilson_parents(m, t, RngStream(m).generator(), 3))
+        sample_uniform_forest(m, t, RngStream(m))
 
 
 # ---------------------------------------------------------------------------
