@@ -435,8 +435,10 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     rejection probability up to exactly delta/alpha, and stops once a tree
     reaches order delta n - eps^2 n or, with the queue empty, the forest
     reaches order eps^2 n. ``greedy`` drops all of that and explores
-    everything. The trace carries the largest tree found. Faithful mode
-    refuses a negative or non-finite ``eps`` (InvalidEpsilonError).
+    everything, and takes isolated roots in bulk. The trace carries the
+    largest tree found. Faithful mode refuses a negative or non-finite
+    ``eps`` (InvalidEpsilonError). The table of forest colours costs c + 1
+    bytes.
     """
     _require_coloured(g)
     if mode not in ("faithful", "greedy"):
@@ -479,24 +481,35 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     # trees hold half-edge positions until the end
     iptr, nbr, hcol, eid = _csr_view(g)
 
-    und = bytearray([1]) * n
-    ucount = n
+    if faithful:
+        und = bytearray([1]) * n
+    else:
+        # an isolated vertex (empty CSR row) is a tree of its own whose only
+        # effect is its query count; it never enters und, and the isolated
+        # ids below each later root are taken in one step
+        indptr = np.asarray(iptr)
+        live = indptr[1:] != indptr[:-1]
+        und = bytearray(live)
+        isolated = bytes(~live)
+    ucount = n                      # undiscovered ids, untaken isolated ones too
     # the faithful pool holds the pool_cap least undiscovered ids, the
     # largest of them cap; a discovery at or below cap moves it up to the
     # next undiscovered id (-1, never read again, once fewer are left)
     cap = pool_cap - 1
-    forest_cols: set[int] = set()
+    forest_cols = bytearray(g.c + 1)   # colours run 1..c
+    accepted = 0                    # each accept takes a fresh colour
     queue: deque[int] = deque()
     queries = 0
-    # a tree's order is len(cur_pos) + 1, the forest's is n - ucount, and
-    # the accepted count is len(forest_cols): each accept adds a fresh colour
+    # a tree's order is len(cur_pos) + 1, the forest's is n - ucount
     cur_pos: list[int] = []
     best_pos: list[int] = []
     root = 0                        # roots only grow: each is the least undiscovered id
     stop = None
 
     while stop is None:
-        if not queue:
+        if queue:
+            v = queue.popleft()
+        else:
             if ucount < n:          # a root has been taken: close its tree
                 if len(cur_pos) > len(best_pos):
                     best_pos = cur_pos    # each tree starts a fresh list
@@ -506,15 +519,23 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             if ucount == 0:
                 stop = "exhausted"
                 break
-            root = und.find(1, root)
-            und[root] = 0
-            if faithful and root <= cap:
+            v = und.find(1, root)
+            if not faithful:
+                # the k isolated roots below v come first, each querying the
+                # ucount left once it is taken; past the last live root
+                # (find gives -1) only isolated ids are left
+                k = isolated.count(1, root, v if v >= 0 else n)
+                queries += k * ucount - k * (k + 1) // 2
+                ucount -= k
+                if v < 0:
+                    stop = "exhausted"
+                    break
+            root = v
+            und[v] = 0
+            if faithful and v <= cap:
                 cap = und.find(1, cap + 1)
             ucount -= 1
             cur_pos = []
-            queue.append(root)
-            continue
-        v = queue.popleft()
         if faithful and ucount > pool_cap:
             thr = cap               # one threshold for the whole scan of v
             queries += pool_cap
@@ -526,10 +547,10 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             if u > thr or not und[u]:
                 continue
             colour = hcol[p]
-            if colour in forest_cols:
+            if forest_cols[colour]:
                 continue
             if faithful:
-                rej = len(forest_cols) / g.c
+                rej = accepted / g.c
                 if rej < dr and gen.random() < (dr - rej) / (1.0 - rej):
                     continue
             und[u] = 0
@@ -538,7 +559,8 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
             ucount -= 1
             queue.append(u)
             cur_pos.append(p)
-            forest_cols.add(colour)
+            forest_cols[colour] = 1
+            accepted += 1
             if faithful and len(cur_pos) + 1 >= s1:
                 stop = "target"
                 break
@@ -546,7 +568,7 @@ def rbfs_forest(g: ColouredGraph, delta: float = 0.1, alpha: float | None = None
     if len(cur_pos) > len(best_pos):
         best_pos = cur_pos
     tree_edges = eid[best_pos].tolist()
-    trace = ExplorationTrace(queries=queries, accepted=len(forest_cols),
+    trace = ExplorationTrace(queries=queries, accepted=accepted,
                              stop_reason=stop, tree_edges=tree_edges,
                              rooted=ucount < n)
     assert trace.accepted <= trace.queries

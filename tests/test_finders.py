@@ -683,7 +683,8 @@ def test_rbfs_peak_memory_per_half_edge():
     # the explorer reads its CSR in place: a list copy of the neighbours and
     # the half-edge colours, one int object per half-edge, took the peak to
     # 182 (greedy) and 146 (faithful) bytes a half-edge here; in place it
-    # is 87 and 49
+    # was 87 and 49. A bytearray colour table in place of a set of colours
+    # took greedy to about 54; faithful stays at 49
     n = 20000
     gen = RngStream(7, 0).generator()
     g = colour_uniform(sample_gnp(n, 1.1 / n, gen), n, gen)
@@ -1184,9 +1185,10 @@ def test_explorers_without_edges(n):
         assert trace.path == [0][:n] and trace.tree_edges == []
         assert (trace.queries, trace.accepted, trace.stop_reason) == \
             (queries, 0, stop)
+    # greedy RBFS takes every vertex as an isolated root: 4 + 3 + 2 + 1 at n = 5
     trace = rbfs_forest(g, mode="greedy")
     assert trace.tree_edges == [] and trace.accepted == 0
-    assert trace.stop_reason == "exhausted"
+    assert (trace.queries, trace.stop_reason) == ({0: 0, 5: 10}[n], "exhausted")
     if n:
         trace = rbfs_forest(g, mode="faithful", delta=0.1, alpha=1.0, eps=0.1)
         assert trace.tree_edges == [] and trace.accepted == 0
@@ -1250,6 +1252,51 @@ def test_explorers_pick_roots_in_ascending_order():
                                  rng=RngStream(3))
         assert_matches_reference(rdfs_longest_path, fenwick_rdfs_longest_path,
                                  g, mode=mode, delta=0.5, query_budget=10 ** 6)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (8, [(5, 6, 1), (6, 7, 2)]),                    # an isolated run at the start
+    (8, [(0, 1, 1), (1, 2, 2)]),                    # and at the end
+    (8, [(3, 4, 1), (2, 3, 1), (4, 5, 2)]),         # on both sides of a tree
+    (6, []),                                        # every vertex isolated
+    # isolated runs on both sides of a vertex whose only edge is a loop: its
+    # CSR row is not empty, so it is a live root
+    (9, [(4, 4, 1), (7, 8, 2)]),
+    (9, [(0, 0, 1), (3, 3, 2), (8, 8, 3)]),
+])
+def test_rbfs_takes_isolated_roots_in_bulk(n, edges):
+    g = ColouredGraph.from_edges(n, edges, c=3, multigraph=True)
+    for mode in ("greedy", "faithful"):
+        assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g, mode=mode,
+                                 delta=0.5, alpha=1.0, eps=0.9,
+                                 rng=RngStream(31))
+
+
+def test_rbfs_mostly_isolated_graph_matches_reference():
+    # at d = 0.5 about e^-0.5 = 61 % of the vertices are isolated
+    n = 20000
+    gen = RngStream(31, 0).generator()
+    g = colour_uniform(sample_gnp(n, 0.5 / n, gen), n, gen)
+    trace = assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                                     mode="greedy")
+    assert trace.stop_reason == "exhausted" and trace.order > 1
+    assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                             mode="faithful", delta=0.05, eps=0.2,
+                             rng=RngStream(31, 1))
+
+
+def test_rbfs_large_colour_count_matches_reference():
+    # the colour table holds c + 1 bytes, here 10 MB for a handful of edges;
+    # the top colour repeats on 2-3, so the first tree stops at order 3
+    g = ColouredGraph.from_edges(
+        12, [(0, 1, 10 ** 7), (1, 2, 1), (2, 3, 10 ** 7), (3, 4, 5 * 10 ** 6),
+             (6, 7, 10 ** 7 - 1), (7, 8, 2)], c=10 ** 7)
+    for kwargs in ({"mode": "greedy"},
+                   {"mode": "faithful", "delta": 0.5, "eps": 0.1,
+                    "rng": RngStream(32)}):
+        trace = assert_matches_reference(rbfs_forest, fenwick_rbfs_forest, g,
+                                         **kwargs)
+        assert trace.order == 3
 
 
 def test_rbfs_matches_fenwick_reference_at_medium_size():
